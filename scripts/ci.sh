@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verification plus the thread-sanitized smoke
-# suite. Mirrors what a contributor runs locally (see ROADMAP.md):
+# suite and the address-sanitized simulator tests. Mirrors what a
+# contributor runs locally (see ROADMAP.md):
 #
-#   scripts/ci.sh            # tier-1 + bench smoke + tsan smoke
-#   scripts/ci.sh --quick    # skip the sanitizer build
+#   scripts/ci.sh            # tier-1 + bench smoke + tsan + asan
+#   scripts/ci.sh --quick    # skip the sanitizer builds
 #
-# Build directories: build/ (tier-1) and build-tsan/ (REAPER_SANITIZE=
-# thread). Both are incremental across runs.
+# Build directories: build/ (tier-1), build-tsan/ (REAPER_SANITIZE=
+# thread) and build-asan/ (REAPER_SANITIZE=address). All are
+# incremental across runs.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -213,5 +215,14 @@ cmake --build build-tsan -j "$jobs" \
 
 echo "=== sanitize: ctest -L sanitize ==="
 (cd build-tsan && ctest -L sanitize --output-on-failure -j "$jobs")
+
+echo "=== sanitize: configure + build (REAPER_SANITIZE=address) ==="
+cmake -B build-asan -S . -DREAPER_SANITIZE=address
+cmake --build build-asan -j "$jobs" \
+    --target test_cache test_core test_memctrl test_memctrl_modes \
+             test_system test_properties_sim test_endtoend test_trace_io
+
+echo "=== sanitize: ctest -L sim (simulator under ASan) ==="
+(cd build-asan && ctest -L sim --output-on-failure -j "$jobs")
 
 echo "=== ci.sh: all suites passed ==="

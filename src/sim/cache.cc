@@ -13,7 +13,9 @@ Cache::Cache(const CacheConfig &cfg) : cfg_(cfg)
     if (lines == 0 || lines % cfg.ways != 0)
         panic("Cache: size must be a multiple of ways * lineBytes");
     sets_ = lines / cfg.ways;
-    lines_.resize(lines);
+    tags_.resize(lines);
+    lruStamps_.resize(lines);
+    dirty_.resize(lines);
 }
 
 uint64_t
@@ -31,11 +33,10 @@ Cache::tagOf(uint64_t addr) const
 bool
 Cache::probe(uint64_t addr) const
 {
-    uint64_t set = setOf(addr);
-    uint64_t tag = tagOf(addr);
+    const uint64_t *tags = &tags_[setOf(addr) * cfg_.ways];
+    uint64_t key = tagOf(addr) + 1;
     for (uint32_t w = 0; w < cfg_.ways; ++w) {
-        const Line &l = lines_[set * cfg_.ways + w];
-        if (l.valid && l.tag == tag)
+        if (tags[w] == key)
             return true;
     }
     return false;
@@ -46,40 +47,38 @@ Cache::access(uint64_t addr, bool is_write)
 {
     CacheAccess result;
     uint64_t set = setOf(addr);
-    uint64_t tag = tagOf(addr);
-    for (uint32_t w = 0; w < cfg_.ways; ++w) {
-        Line &l = lines_[set * cfg_.ways + w];
-        if (l.valid && l.tag == tag) {
+    uint64_t base = set * cfg_.ways;
+    uint64_t key = tagOf(addr) + 1;
+    for (uint64_t i = base; i < base + cfg_.ways; ++i) {
+        if (tags_[i] == key) {
             result.hit = true;
-            l.lruStamp = ++stamp_;
-            l.dirty = l.dirty || is_write;
+            lruStamps_[i] = ++stamp_;
+            dirty_[i] = dirty_[i] || is_write;
             ++stats_.hits;
             return result;
         }
     }
     ++stats_.misses;
     // Victim: first invalid way, otherwise least-recently used.
-    Line *victim = nullptr;
-    for (uint32_t w = 0; w < cfg_.ways; ++w) {
-        Line &l = lines_[set * cfg_.ways + w];
-        if (!l.valid) {
-            victim = &l;
+    uint64_t victim = base;
+    for (uint64_t i = base; i < base + cfg_.ways; ++i) {
+        if (tags_[i] == 0) {
+            victim = i;
             break;
         }
-        if (!victim || l.lruStamp < victim->lruStamp)
-            victim = &l;
+        if (lruStamps_[i] < lruStamps_[victim])
+            victim = i;
     }
     // Allocate over the LRU (or an invalid) way.
-    if (victim->valid && victim->dirty) {
+    if (tags_[victim] != 0 && dirty_[victim]) {
         result.writeback = true;
         result.writebackAddr =
-            (victim->tag * sets_ + set) * cfg_.lineBytes;
+            ((tags_[victim] - 1) * sets_ + set) * cfg_.lineBytes;
         ++stats_.writebacks;
     }
-    victim->valid = true;
-    victim->dirty = is_write;
-    victim->tag = tag;
-    victim->lruStamp = ++stamp_;
+    tags_[victim] = key;
+    dirty_[victim] = is_write;
+    lruStamps_[victim] = ++stamp_;
     return result;
 }
 

@@ -70,20 +70,15 @@ class Cache
     uint64_t numSets() const { return sets_; }
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        uint64_t tag = 0;
-        uint64_t lruStamp = 0;
-    };
-
     uint64_t setOf(uint64_t addr) const;
     uint64_t tagOf(uint64_t addr) const;
 
     CacheConfig cfg_;
     uint64_t sets_;
-    std::vector<Line> lines_; ///< sets_ x ways, row-major
+    // Per line, sets_ x ways row-major, so a probe reads only tags_.
+    std::vector<uint64_t> tags_; ///< tag + 1; 0 = invalid way
+    std::vector<uint64_t> lruStamps_;
+    std::vector<uint8_t> dirty_;
     uint64_t stamp_ = 0;
     CacheStats stats_;
 };

@@ -51,6 +51,10 @@ class Core
      */
     Core(const CoreConfig &cfg, const Trace &trace, bool loop = true);
 
+    // Load completion callbacks capture `this`: no copy, hence no move.
+    Core(const Core &) = delete;
+    Core &operator=(const Core &) = delete;
+
     /** Advance one memory-controller cycle. */
     void tick(const SendFn &send);
 
@@ -60,39 +64,62 @@ class Core
     double ipc() const;
     /** Whether a non-looping core has consumed its whole trace. */
     bool traceDone() const;
-    uint32_t outstandingReads() const { return outstandingReads_; }
+    uint32_t outstandingReads() const
+    {
+        return static_cast<uint32_t>(outstanding_.size());
+    }
     int id() const { return cfg_.id; }
 
   private:
     /** One CPU cycle: retire then issue. */
     void cpuCycle(const SendFn &send);
 
-    bool windowFull() const { return windowLoad_ == cfg_.windowSize; }
-    void windowInsert(bool ready);
+    uint64_t windowLoad() const { return tailSeq_ - headSeq_; }
+    bool windowFull() const { return windowLoad() == cfg_.windowSize; }
     /** Retire up to issueWidth ready entries from the window head. */
     void windowRetire();
+    void loadCompleted(uint64_t seq);
+    /**
+     * Whether no CPU cycle can change anything but the cycle count
+     * until the oldest load returns: the window is full, its head is
+     * an outstanding load, and the next op needs a window slot (a
+     * store retires without one).
+     */
+    bool computeBlocked() const;
 
     CoreConfig cfg_;
     const Trace &trace_;
     bool loop_;
 
-    // Circular instruction window. ready_[i] marks completion; load
-    // callbacks flip their slot to ready when data returns.
-    std::vector<char> ready_;
-    uint32_t windowHead_ = 0; ///< oldest entry
-    uint32_t windowTail_ = 0; ///< next insertion point
-    uint32_t windowLoad_ = 0;
+    // Instruction window as sequence numbers: entries headSeq_ ..
+    // tailSeq_-1 are in flight, and every one is ready except the
+    // loads listed (ascending) in outstanding_.
+    uint64_t headSeq_ = 0; ///< oldest entry
+    uint64_t tailSeq_ = 0; ///< next entry
+    std::vector<uint64_t> outstanding_;
+    bool blocked_ = false; ///< computeBlocked() as of the last cycle
 
     size_t tracePos_ = 0;
     uint32_t bubblesLeft_ = 0;
-    bool entryPending_ = false; ///< current entry's mem op not yet sent
 
-    uint32_t outstandingReads_ = 0;
     uint64_t retired_ = 0;
     uint64_t cpuCycles_ = 0;
     double cpuCredit_ = 0.0;
     bool done_ = false;
 };
+
+inline void
+Core::tick(const SendFn &send)
+{
+    cpuCredit_ += cfg_.cpuPerMemCycle;
+    while (cpuCredit_ >= 1.0) {
+        cpuCredit_ -= 1.0;
+        if (blocked_)
+            ++cpuCycles_; // only the head load's return can unblock
+        else
+            cpuCycle(send);
+    }
+}
 
 } // namespace sim
 } // namespace reaper

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -41,6 +42,7 @@ MemoryController::enqueue(const MemRequest &req, const DramAddr &dram)
     Entry e{req, dram};
     e.req.arrival = now_;
     queue.push_back(std::move(e));
+    wakeAt_ = 0;
     if (req.isWrite && req.onComplete) {
         // Writes are posted: ack the producer immediately.
         req.onComplete();
@@ -168,7 +170,7 @@ MemoryController::maybeStartRefresh()
 }
 
 bool
-MemoryController::serviceQueue(std::deque<Entry> &queue, bool is_write)
+MemoryController::serviceQueue(std::vector<Entry> &queue, bool is_write)
 {
     if (queue.empty() || commandIssued_)
         return false;
@@ -257,22 +259,69 @@ MemoryController::serviceQueue(std::deque<Entry> &queue, bool is_write)
     return false;
 }
 
-void
+bool
 MemoryController::completeReads()
 {
+    bool completed = false;
     while (!inflight_.empty() && inflight_.front().first <= now_) {
         MemRequest req = std::move(inflight_.front().second);
         inflight_.pop();
         if (req.onComplete)
             req.onComplete();
+        completed = true;
     }
+    return completed;
+}
+
+Cycle
+MemoryController::nextWake() const
+{
+    Cycle wake = std::numeric_limits<Cycle>::max();
+    auto consider = [&](Cycle c) {
+        if (c > now_ && c < wake)
+            wake = c;
+    };
+    auto consider_bank = [&](const Bank &b) {
+        consider(b.nextAct);
+        consider(b.nextPre);
+        consider(b.nextRead);
+        consider(b.nextWrite);
+    };
+    if (!inflight_.empty())
+        consider(inflight_.front().first);
+    consider(busFreeAt_);
+    consider(readTurnaroundAt_);
+    consider(nextActChannel_);
+    if (actWindow_.size() >= 4)
+        consider(actWindow_.front() + cfg_.timing.tFAW);
+    if (effectiveRefi_ != 0) {
+        consider(refreshDue_);
+        consider(refreshEndsAt_);
+    }
+    // Requests only look at their own bank; a refresh looks at all.
+    bool refreshing = refreshPending_ || pendingRefreshBank_ >= 0 ||
+                      (effectiveRefi_ != 0 && now_ >= refreshDue_);
+    if (refreshing) {
+        for (const Bank &b : banks_)
+            consider_bank(b);
+    } else {
+        for (const Entry &e : readQueue_)
+            consider_bank(banks_[e.dram.bank]);
+        for (const Entry &e : writeQueue_)
+            consider_bank(banks_[e.dram.bank]);
+    }
+    return wake;
 }
 
 void
-MemoryController::tick()
+MemoryController::fullTick()
 {
+    const bool was_pending = refreshPending_;
+    const int was_pending_bank = pendingRefreshBank_;
+    const bool was_draining = drainingWrites_;
+
     commandIssued_ = false;
-    completeReads();
+    bool completed = completeReads();
     maybeStartRefresh();
 
     if (!drainingWrites_ && writeQueue_.size() >= cfg_.writeDrainHigh)
@@ -289,6 +338,11 @@ MemoryController::tick()
         if (!serviceQueue(readQueue_, false))
             serviceQueue(writeQueue_, true);
     }
+    // A tick that changed no state repeats until a threshold flips.
+    if (!commandIssued_ && !completed && refreshPending_ == was_pending &&
+        pendingRefreshBank_ == was_pending_bank &&
+        drainingWrites_ == was_draining)
+        wakeAt_ = nextWake();
     ++now_;
 }
 

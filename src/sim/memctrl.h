@@ -140,24 +140,36 @@ class MemoryController
         Cycle nextPre = 0;
     };
 
+    /** tick() when not waiting: complete, refresh, schedule. */
+    void fullTick();
     /** Whether the bank can accept an ACT this cycle (incl. channel
      *  tRRD/tFAW constraints). */
     bool canActivate(const Bank &b) const;
     /** Issue one command for the given queue; true if issued. */
-    bool serviceQueue(std::deque<Entry> &queue, bool is_write);
+    bool serviceQueue(std::vector<Entry> &queue, bool is_write);
     void issueActivate(Bank &b, uint64_t row);
     void issuePrecharge(Bank &b);
     void maybeStartRefresh();
     void maybeStartPerBankRefresh();
-    void completeReads();
+    /** Deliver due read data; true if any read completed. */
+    bool completeReads();
+    /**
+     * After a tick that changed no state, the first cycle at which a
+     * timing threshold the tick compared against can flip: until then
+     * every tick would do the same nothing.
+     */
+    Cycle nextWake() const;
 
     MemCtrlConfig cfg_;
     Cycle now_ = 0;
     std::vector<Bank> banks_;
-    std::deque<Entry> readQueue_;
-    std::deque<Entry> writeQueue_;
+    std::vector<Entry> readQueue_;
+    std::vector<Entry> writeQueue_;
     bool drainingWrites_ = false;
     bool commandIssued_ = false; ///< one command per cycle
+    /** Ticks before this cycle only advance now_ (see nextWake);
+     *  enqueue() resets it. */
+    Cycle wakeAt_ = 0;
 
     // Channel-level constraints.
     Cycle nextActChannel_ = 0;
@@ -178,6 +190,20 @@ class MemoryController
 
     MemCtrlStats stats_;
 };
+
+inline void
+MemoryController::tick()
+{
+    if (now_ >= wakeAt_) {
+        fullTick();
+        return;
+    }
+    // Waiting: nothing can change this cycle. Account what a full tick
+    // would: an all-bank refresh in progress stalls every bank.
+    if (now_ < refreshEndsAt_)
+        ++stats_.refreshStallCycles;
+    ++now_;
+}
 
 } // namespace sim
 } // namespace reaper

@@ -30,7 +30,8 @@ SystemStats::ipcSum() const
 }
 
 System::System(const SystemConfig &cfg, std::vector<Trace> traces)
-    : cfg_(cfg), traces_(std::move(traces)), llc_(cfg.llc)
+    : cfg_(cfg), traces_(std::move(traces)), llc_(cfg.llc),
+      send_([this](const MemRequest &req) { return sendFromCore(req); })
 {
     if (traces_.empty())
         panic("System: need at least one trace");
@@ -114,11 +115,8 @@ System::tick()
         wbBuffer_.pop_front();
     }
 
-    SendFn send = [this](const MemRequest &req) {
-        return sendFromCore(req);
-    };
     for (auto &core : cores_)
-        core->tick(send);
+        core->tick(send_);
     for (auto &ch : channels_)
         ch->tick();
     ++now_;

@@ -60,6 +60,11 @@ class System
      */
     System(const SystemConfig &cfg, std::vector<Trace> traces);
 
+    // The cores and send_ hold pointers into this object: no copy,
+    // hence no move.
+    System(const System &) = delete;
+    System &operator=(const System &) = delete;
+
     /** Run for a fixed number of memory-controller cycles. */
     void run(Cycle mem_cycles);
 
@@ -85,6 +90,7 @@ class System
     std::vector<std::unique_ptr<Core>> cores_;
     Cache llc_;
     std::vector<std::unique_ptr<MemoryController>> channels_;
+    SendFn send_; ///< sendFromCore, handed to every core tick
 
     /** Pending LLC-hit completions: (cycle, callback). */
     std::queue<std::pair<Cycle, std::function<void()>>> hitQueue_;

@@ -1,5 +1,6 @@
 #include "sim/trace_io.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -15,6 +16,28 @@ fail(std::string *error, const std::string &msg)
     if (error)
         *error = msg;
     return false;
+}
+
+/**
+ * Parse a whole token as an unsigned address, in the bases strtoull
+ * picks for base 0 ("0x" hex, leading-zero octal, else decimal), but
+ * with no sign, no empty digit string and nothing left over.
+ */
+bool
+parseAddress(const std::string &token, uint64_t *out)
+{
+    const char *first = token.data();
+    const char *last = first + token.size();
+    int base = 10;
+    if (token.size() > 1 && token[0] == '0') {
+        base = 8;
+        if (token[1] == 'x' || token[1] == 'X') {
+            first += 2;
+            base = 16;
+        }
+    }
+    auto [ptr, ec] = std::from_chars(first, last, *out, base);
+    return ec == std::errc() && ptr == last;
 }
 } // namespace
 
@@ -85,12 +108,13 @@ tryLoadTrace(std::istream &is, Trace *out, std::string *error)
             return fail(error, "line " + std::to_string(lineno) +
                                    ": bad op '" + op + "'");
         }
-        try {
-            e.addr = std::stoull(addr, nullptr, 0);
-        } catch (const std::exception &) {
+        if (!parseAddress(addr, &e.addr))
             return fail(error, "line " + std::to_string(lineno) +
                                    ": bad address '" + addr + "'");
-        }
+        std::string extra;
+        if (ls >> extra)
+            return fail(error, "line " + std::to_string(lineno) +
+                                   ": unexpected '" + extra + "'");
         trace.entries.push_back(e);
     }
     *out = std::move(trace);

@@ -83,6 +83,17 @@ TEST(TraceIo, RejectsMalformedLines)
     std::stringstream missing("42\n");
     EXPECT_FALSE(tryLoadTrace(missing, &t, &error));
     EXPECT_NE(error.find("expected"), std::string::npos);
+
+    // Partially numeric, signed, digit-less, or trailing junk: each
+    // rejected with its line number, after a good first line.
+    for (const char *bad : {"10 R 0x100zz", "10 R -5", "10 R 0x",
+                            "10 R 0x100 junk"}) {
+        SCOPED_TRACE(bad);
+        std::stringstream ss(std::string("1 R 0x40\n") + bad + "\n");
+        error.clear();
+        EXPECT_FALSE(tryLoadTrace(ss, &t, &error));
+        EXPECT_EQ(error.rfind("line 2: ", 0), 0u) << error;
+    }
 }
 
 TEST(TraceIo, FileRoundTripAndMissingFile)
