@@ -138,6 +138,32 @@ TEST(MemCtrl, BankParallelismFasterThanSameBank)
     EXPECT_LT(run_case(false), run_case(true));
 }
 
+TEST(MemCtrl, FourActivateWindowHoldsFifthActivate)
+{
+    // With tRRD short and tFAW long, only the four-activate window
+    // holds back the fifth ACT: no other timing threshold expires at
+    // that cycle, so a controller that waits for one never issues it.
+    MemCtrlConfig cfg = baseConfig();
+    cfg.refreshWindowScale = 0;
+    cfg.timing.tRRD = 2;
+    cfg.timing.tFAW = 400;
+    MemoryController mc(cfg);
+    int done = 0;
+    for (uint32_t bank = 0; bank < 5; ++bank) {
+        ASSERT_TRUE(mc.enqueue(readReq(bank * 64, [&]() { ++done; }),
+                               DramAddr{0, bank, 3, 0}));
+    }
+    Cycle fifth_act = 0;
+    while (done < 5 && mc.now() < 10000) {
+        Cycle cycle = mc.now();
+        mc.tick();
+        if (fifth_act == 0 && mc.stats().commands.act == 5)
+            fifth_act = cycle;
+    }
+    EXPECT_EQ(done, 5);
+    EXPECT_EQ(fifth_act, cfg.timing.tFAW); // the first ACT is at cycle 0
+}
+
 TEST(MemCtrl, WritesArePosted)
 {
     MemCtrlConfig cfg = baseConfig();
