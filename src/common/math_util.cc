@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -67,6 +68,29 @@ normalQuantile(double p)
     double u = e * std::sqrt(2.0 * M_PI) * std::exp(0.5 * x * x);
     x = x - u / (1.0 + 0.5 * x * u);
     return x;
+}
+
+const QuantileBracket *
+normalQuantileBrackets()
+{
+    // The refined quantile is monotone to within ~1e-9, far inside the
+    // 1e-6 margin, which also absorbs the rounding of a caller's
+    // mu + sigma * bound against mu + sigma * normalQuantile(u).
+    static const std::vector<QuantileBracket> table = [] {
+        constexpr double kMargin = 1e-6;
+        constexpr double kWidth = 1.0 / kQuantileBuckets;
+        std::vector<QuantileBracket> t(kQuantileBuckets);
+        t.front() = {-INFINITY, INFINITY};
+        t.back() = {-INFINITY, INFINITY};
+        double lower = normalQuantile(kWidth);
+        for (int k = 1; k < kQuantileBuckets - 1; ++k) {
+            double upper = normalQuantile((k + 1) * kWidth);
+            t[k] = {lower - kMargin, upper + kMargin};
+            lower = upper;
+        }
+        return t;
+    }();
+    return table.data();
 }
 
 double

@@ -23,6 +23,32 @@ double normalCdf(double x, double mu, double sigma);
  */
 double normalQuantile(double p);
 
+/** Number of equal-width buckets of u in the normalQuantile brackets. */
+constexpr int kQuantileBuckets = 4096;
+
+/**
+ * Bracket of normalQuantile over one bucket. Bucket k covers u in
+ * [k, k + 1) / kQuantileBuckets; for every u in an interior bucket
+ * (0 < k < kQuantileBuckets - 1), lo <= normalQuantile(u) <= hi. The
+ * two tail buckets, where the quantile is unbounded, hold lo = -inf and
+ * hi = +inf, so a comparison against them never decides anything.
+ */
+struct QuantileBracket
+{
+    double lo; ///< normalQuantile(k / kQuantileBuckets) - 1e-6
+    double hi; ///< normalQuantile((k + 1) / kQuantileBuckets) + 1e-6
+};
+
+/** The kQuantileBuckets brackets, indexed by quantileBucket(u). */
+const QuantileBracket *normalQuantileBrackets();
+
+/** Bucket of u in [0, 1) (the scaling by a power of two is exact). */
+inline int
+quantileBucket(double u)
+{
+    return static_cast<int>(u * kQuantileBuckets);
+}
+
 /** log(n!) via lgamma. */
 double logFactorial(uint64_t n);
 

@@ -73,8 +73,8 @@ DramDevice::setTemperature(Celsius temp)
 {
     temp_ = temp;
     if (temp > config_.envelope.maxTemperature + 1e-9) {
-        fatal("DramDevice: temperature %.1f exceeds test envelope max "
-              "%.1f; construct the device with a wider envelope",
+        fatal("DramDevice: temperature %.3f exceeds test envelope max "
+              "%.3f; construct the device with a wider envelope",
               temp, config_.envelope.maxTemperature);
     }
     updateTempCaches();
@@ -233,6 +233,15 @@ DramDevice::evolveDynamics(Seconds from, Seconds to)
 }
 
 double
+DramDevice::windowUniform(const WeakCell &cell) const
+{
+    double u = toUniform(hashCombine(
+        hashCombine(cell.dpdSeed, exposureNonce_ * 0x9E3779B97F4A7C15ull),
+        cell.addr));
+    return clampTo(u, 1e-12, 1.0 - 1e-12);
+}
+
+double
 DramDevice::latentFailureTime(const WeakCell &cell) const
 {
     double factor = model_.dpdFactor(cell, pattern_, writeNonce_);
@@ -240,11 +249,34 @@ DramDevice::latentFailureTime(const WeakCell &cell) const
     double mu_eff = static_cast<double>(cell.mu) * factor * state_factor;
     double sigma = static_cast<double>(cell.mu) * cell.sigmaRel *
                    sigmaNarrowCur_;
-    double u = toUniform(hashCombine(
-        hashCombine(cell.dpdSeed, exposureNonce_ * 0x9E3779B97F4A7C15ull),
-        cell.addr));
-    u = clampTo(u, 1e-12, 1.0 - 1e-12);
-    return mu_eff + sigma * normalQuantile(u);
+    return mu_eff + sigma * normalQuantile(windowUniform(cell));
+}
+
+bool
+DramDevice::failsThisWindow(const WeakCell &cell,
+                            const QuantileBracket *brackets) const
+{
+    // Decide exposure >= latentFailureTime(cell) from the bracket of the
+    // cell's quantile whenever it is conclusive. Every bound below is at
+    // most (lo) or at least (hi) the latent failure time as computed
+    // there, operation for operation, because rounding is monotone.
+    const double t = exposureEquiv_;
+    const double mu = static_cast<double>(cell.mu);
+    const double state_factor = cell.vrtState ? cell.vrtFactor : 1.0;
+    const double sigma = mu * cell.sigmaRel * sigmaNarrowCur_;
+    const QuantileBracket &b = brackets[quantileBucket(windowUniform(cell))];
+    // Every DPD factor is >= 1 (worstCaseDpdFactor), so mu * state
+    // bounds mu_eff from below without evaluating the pattern's factor.
+    if (t < mu * state_factor + sigma * b.lo)
+        return false;
+    double mu_eff =
+        mu * model_.dpdFactor(cell, pattern_, writeNonce_) * state_factor;
+    if (t < mu_eff + sigma * b.lo)
+        return false;
+    if (t >= mu_eff + sigma * b.hi)
+        return true;
+    // Too close to call, or a tail bucket: the exact quantile.
+    return t >= latentFailureTime(cell);
 }
 
 void
@@ -291,17 +323,20 @@ DramDevice::readAndCompareInto()
         // Batched SoA fast reject: the dispatched kernel sweeps the
         // flat reject array in 64-byte chunks (AVX2 compare + movemask,
         // scalar under REAPER_SIMD=scalar) and emits only the candidate
-        // indices; survivors then take the exact per-cell stochastic
-        // path. The predicate is the same `!(reject > exposure)` branch
-        // the scalar loop used, so output stays bit-identical to
-        // readAndCompareReference().
+        // indices; survivors are then decided per cell, by the quantile
+        // bracket when it is conclusive and the exact latent failure
+        // time otherwise. The predicate is the same `!(reject >
+        // exposure)` branch the scalar loop used and every bracketed
+        // decision equals the exact one, so output stays bit-identical
+        // to readAndCompareReference().
         size_t end = candidateEnd(exposureEquiv_);
         candScratch_.clear();
         simd::scanNotGreater(weakReject_.data(), end, exposureEquiv_,
                              candScratch_);
+        const QuantileBracket *brackets = normalQuantileBrackets();
         for (uint32_t i : candScratch_) {
             const WeakCell &cell = weak_[i];
-            if (exposureEquiv_ >= latentFailureTime(cell))
+            if (failsThisWindow(cell, brackets))
                 readScratch_.push_back(cell.addr);
         }
         for (const auto &a : vrtActive_)

@@ -1,8 +1,8 @@
 #include "dram/retention_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -22,6 +22,44 @@ toUniform(uint64_t h)
 /** Number of static (non-random) pattern classes. */
 constexpr int kNumStaticClasses = 10;
 
+/**
+ * Insert-only set of drawn cell addresses: open addressing with linear
+ * probing over a power-of-two table kept at most half full.
+ */
+class AddressSet
+{
+  public:
+    explicit AddressSet(uint64_t expected)
+    {
+        size_t capacity = std::bit_ceil(std::max<uint64_t>(2 * expected, 16));
+        slots_.assign(capacity, kEmpty);
+        mask_ = capacity - 1;
+        shift_ = 64 - std::countr_zero(capacity);
+    }
+
+    /** Add addr; false when it was already present. */
+    bool
+    insert(uint64_t addr)
+    {
+        size_t i = (addr * 0x9E3779B97F4A7C15ull) >> shift_;
+        while (slots_[i] != addr) {
+            if (slots_[i] == kEmpty) {
+                slots_[i] = addr;
+                return true;
+            }
+            i = (i + 1) & mask_;
+        }
+        return false;
+    }
+
+  private:
+    /** No address: uniformInt(n) is always below n <= 2^64 - 1. */
+    static constexpr uint64_t kEmpty = ~0ull;
+    std::vector<uint64_t> slots_;
+    size_t mask_ = 0;
+    int shift_ = 0;
+};
+
 } // namespace
 
 RetentionModel::RetentionModel(const RetentionParams &params,
@@ -30,6 +68,11 @@ RetentionModel::RetentionModel(const RetentionParams &params,
 {
     if (params_.tailExponent <= 0)
         panic("RetentionModel: tailExponent must be > 0");
+    // worstCaseDpdFactor() is 1 only if no pattern can do better than
+    // the worst case, and the read path's DPD lower bound relies on it.
+    if (!(params_.dpdMaxFactor >= 1.0))
+        panic("RetentionModel: dpdMaxFactor must be >= 1, got %g",
+              params_.dpdMaxFactor);
     tailK_ = params_.berAt1024ms / std::pow(1.024, params_.tailExponent);
 }
 
@@ -187,28 +230,59 @@ RetentionModel::sampleWeakPopulation(uint64_t capacity_bits,
 
     std::vector<WeakCell> cells;
     cells.reserve(count);
-    std::unordered_set<uint64_t> used;
-    used.reserve(count * 2);
-    double inv_p = 1.0 / params_.tailExponent;
-    for (uint64_t i = 0; i < count; ++i) {
-        WeakCell c;
-        uint64_t addr;
-        do {
-            addr = rng.uniformInt(capacity_bits);
-        } while (!used.insert(addr).second);
-        c.addr = addr;
-        double u;
-        do {
-            u = rng.uniform();
-        } while (u <= 0.0);
-        c.mu = static_cast<float>(mu_cap * std::pow(u, inv_p));
-        populateCellStatics(c, rng);
-        cells.push_back(c);
+    {
+        AddressSet used(count);
+        double inv_p = 1.0 / params_.tailExponent;
+        for (uint64_t i = 0; i < count; ++i) {
+            WeakCell c;
+            uint64_t addr;
+            do {
+                addr = rng.uniformInt(capacity_bits);
+            } while (!used.insert(addr));
+            c.addr = addr;
+            double u;
+            do {
+                u = rng.uniform();
+            } while (u <= 0.0);
+            c.mu = static_cast<float>(mu_cap * std::pow(u, inv_p));
+            populateCellStatics(c, rng);
+            cells.push_back(c);
+        }
     }
-    std::sort(cells.begin(), cells.end(),
-              [](const WeakCell &a, const WeakCell &b) {
+
+    // Sort by mu through 8-byte (mu, index) proxies, then move the cells
+    // into place. std::sort's moves depend only on comparison outcomes,
+    // and the proxies compare exactly as the cells did, so cells with
+    // equal mu land in the same order as sorting the cells themselves
+    // would put them (VRT toggle draws follow that order).
+    struct MuIndex
+    {
+        float mu;
+        uint32_t index;
+    };
+    std::vector<MuIndex> order(cells.size());
+    for (size_t i = 0; i < cells.size(); ++i)
+        order[i] = {cells[i].mu, static_cast<uint32_t>(i)};
+    std::sort(order.begin(), order.end(),
+              [](const MuIndex &a, const MuIndex &b) {
                   return a.mu < b.mu;
               });
+    // In-place gather cells[i] = old cells[order[i].index], one cycle of
+    // the permutation at a time; a placed slot is marked index == i.
+    for (size_t i = 0; i < cells.size(); ++i) {
+        if (order[i].index == i)
+            continue;
+        WeakCell first = cells[i];
+        size_t j = i;
+        for (size_t from = order[j].index; from != i;
+             from = order[j].index) {
+            cells[j] = cells[from];
+            order[j].index = static_cast<uint32_t>(j);
+            j = from;
+        }
+        cells[j] = first;
+        order[j].index = static_cast<uint32_t>(j);
+    }
     return cells;
 }
 

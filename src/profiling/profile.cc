@@ -12,13 +12,26 @@ RetentionProfile::add(const std::vector<dram::ChipFailure> &failures)
 {
     if (failures.empty())
         return;
-    std::vector<dram::ChipFailure> sorted = failures;
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+    // A module read is already sorted and unique; only other input pays
+    // for a copy and a sort. The check stops at the first pair out of
+    // order.
+    const std::vector<dram::ChipFailure> *in = &failures;
+    std::vector<dram::ChipFailure> sorted;
+    if (std::adjacent_find(failures.begin(), failures.end(),
+                           [](const dram::ChipFailure &a,
+                              const dram::ChipFailure &b) {
+                               return !(a < b);
+                           }) != failures.end()) {
+        sorted = failures;
+        std::sort(sorted.begin(), sorted.end());
+        sorted.erase(std::unique(sorted.begin(), sorted.end()),
+                     sorted.end());
+        in = &sorted;
+    }
     std::vector<dram::ChipFailure> merged;
-    merged.reserve(cells_.size() + sorted.size());
-    std::set_union(cells_.begin(), cells_.end(), sorted.begin(),
-                   sorted.end(), std::back_inserter(merged));
+    merged.reserve(cells_.size() + in->size());
+    std::set_union(cells_.begin(), cells_.end(), in->begin(), in->end(),
+                   std::back_inserter(merged));
     cells_ = std::move(merged);
 }
 

@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "common/math_util.h"
+#include "common/rng.h"
 
 namespace reaper {
 namespace {
@@ -51,6 +52,54 @@ TEST(NormalQuantile, RejectsOutOfDomain)
 {
     EXPECT_DEATH(normalQuantile(0.0), "normalQuantile");
     EXPECT_DEATH(normalQuantile(1.0), "normalQuantile");
+}
+
+// The read path decides most cells from these brackets, so a bracket
+// that misses its bucket's quantile would silently change results.
+
+/** Checks u's bucket and, for an interior bucket, its bracket. */
+void
+expectBracketed(double u, int bucket)
+{
+    ASSERT_EQ(quantileBucket(u), bucket) << "u=" << u;
+    if (bucket == 0 || bucket == kQuantileBuckets - 1)
+        return;
+    const QuantileBracket &b = normalQuantileBrackets()[bucket];
+    double q = normalQuantile(u);
+    EXPECT_LE(b.lo, q) << "u=" << u << " bucket " << bucket;
+    EXPECT_LE(q, b.hi) << "u=" << u << " bucket " << bucket;
+}
+
+TEST(NormalQuantileBrackets, HoldAtEveryBucketEdge)
+{
+    for (int k = 1; k < kQuantileBuckets; ++k) {
+        double edge = static_cast<double>(k) / kQuantileBuckets;
+        expectBracketed(std::nextafter(edge, 0.0), k - 1);
+        expectBracketed(edge, k);
+        expectBracketed(std::nextafter(edge, 1.0), k);
+    }
+}
+
+TEST(NormalQuantileBrackets, HoldAtRandomPoints)
+{
+    Rng rng(4096);
+    for (int i = 0; i < 1000000; ++i) {
+        double u = rng.uniform();
+        expectBracketed(u, static_cast<int>(u * kQuantileBuckets));
+    }
+}
+
+TEST(NormalQuantileBrackets, TailBucketsNeverDecide)
+{
+    const QuantileBracket *b = normalQuantileBrackets();
+    for (int k : {0, kQuantileBuckets - 1}) {
+        EXPECT_EQ(b[k].lo, -INFINITY);
+        EXPECT_EQ(b[k].hi, INFINITY);
+    }
+    // The interior brackets are narrow: the bucket's own width in z
+    // plus the two margins.
+    EXPECT_LT(b[kQuantileBuckets / 2].hi - b[kQuantileBuckets / 2].lo,
+              1e-3);
 }
 
 TEST(LogFactorial, SmallValues)

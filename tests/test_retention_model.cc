@@ -355,6 +355,19 @@ TEST(RetentionModel, VrtArrivalHasNoToggling)
     }
 }
 
+TEST(RetentionModel, RejectsDpdMaxFactorBelowOne)
+{
+    // A maximum below 1 would make every non-worst pattern worse than
+    // the worst case that worstCaseDpdFactor() reports.
+    RetentionParams p = vendorParams(Vendor::B);
+    p.dpdMaxFactor = 0.9;
+    EXPECT_DEATH(RetentionModel{p}, "dpdMaxFactor must be >= 1");
+    p.dpdMaxFactor = 1.0; // DPD off: every pattern is the worst case
+    EXPECT_EQ(RetentionModel{p}.dpdFactor(makeCell(1.0, 0.05),
+                                          DataPattern::Random, 3),
+              1.0);
+}
+
 TEST(RetentionModel, VendorsDiffer)
 {
     RetentionModel a{vendorParams(Vendor::A)};
