@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verification plus the thread-sanitized smoke
-# suite and the address-sanitized simulator tests. Mirrors what a
-# contributor runs locally (see ROADMAP.md):
+# suite and the address-sanitized simulator and DRAM-model tests.
+# Mirrors what a contributor runs locally (see ROADMAP.md):
 #
 #   scripts/ci.sh            # tier-1 + bench smoke + tsan + asan
 #   scripts/ci.sh --quick    # skip the sanitizer builds
@@ -224,5 +224,13 @@ cmake --build build-asan -j "$jobs" \
 
 echo "=== sanitize: ctest -L sim (simulator under ASan) ==="
 (cd build-asan && ctest -L sim --output-on-failure -j "$jobs")
+
+cmake --build build-asan -j "$jobs" \
+    --target test_device test_device_dynamics test_module \
+             test_retention_model test_math_util test_reach \
+             test_brute_force
+
+echo "=== sanitize: ctest -L dram (DRAM chip model under ASan) ==="
+(cd build-asan && ctest -L dram --output-on-failure -j "$jobs")
 
 echo "=== ci.sh: all suites passed ==="
