@@ -76,23 +76,30 @@ BM_DevicePopulationSampling(benchmark::State &state)
     }
     state.SetLabel(std::to_string(capacity / (8 * 1024 * 1024)) + "MB");
 }
-BENCHMARK(BM_DevicePopulationSampling)->DenseRange(0, 3);
+// 64 MB .. 512 MB, and the paper's 2 GB chip.
+BENCHMARK(BM_DevicePopulationSampling)->DenseRange(0, 3)->Arg(5);
 
 void
 BM_DeviceReadAndCompare(benchmark::State &state)
 {
+    // Arg 0 writes random data (the pattern draws a DPD factor per cell
+    // and write), arg 1 a static checkerboard.
+    const dram::DataPattern pattern = state.range(0) == 0
+                                          ? dram::DataPattern::Random
+                                          : dram::DataPattern::Checkerboard;
     dram::DramDevice device(deviceConfig(4ull * 1024 * 1024 * 1024));
     for (auto _ : state) {
-        device.writePattern(dram::DataPattern::Random);
+        device.writePattern(pattern);
         device.disableRefresh();
         device.wait(1.024);
         device.enableRefresh();
         benchmark::DoNotOptimize(device.readAndCompare());
     }
+    state.SetLabel(dram::toString(pattern));
     state.counters["weak_cells"] =
         static_cast<double>(device.weakCellCount());
 }
-BENCHMARK(BM_DeviceReadAndCompare);
+BENCHMARK(BM_DeviceReadAndCompare)->Arg(0)->Arg(1);
 
 void
 BM_ProfilerIteration(benchmark::State &state)
