@@ -28,6 +28,10 @@ TEST(RetentionProfile, AddDeduplicatesAndSorts)
     EXPECT_EQ(p.cells()[0], (ChipFailure{0, 2}));
     EXPECT_EQ(p.cells()[1], (ChipFailure{0, 5}));
     EXPECT_EQ(p.cells()[2], (ChipFailure{1, 10}));
+    // Sorted input skips the sort; a repeated cell must still collapse.
+    RetentionProfile sorted;
+    sorted.add({{0, 2}, {0, 5}, {0, 5}, {1, 10}});
+    EXPECT_EQ(sorted.cells(), p.cells());
 }
 
 TEST(RetentionProfile, AddAccumulatesAcrossCalls)
@@ -36,6 +40,9 @@ TEST(RetentionProfile, AddAccumulatesAcrossCalls)
     p.add({{0, 1}});
     p.add({{0, 2}, {0, 1}});
     EXPECT_EQ(p.size(), 2u);
+    p.add({{0, 0}, {0, 2}, {1, 0}}); // sorted and unique, as a read is
+    EXPECT_EQ(p.cells(), (std::vector<ChipFailure>{
+                             {0, 0}, {0, 1}, {0, 2}, {1, 0}}));
 }
 
 TEST(RetentionProfile, AddEmptyIsNoop)
