@@ -27,9 +27,10 @@
  *                       (default 0.01)
  *   --bloom             use Bloom-filter directories (over-refresh
  *                       only, smaller footprint)
- *   --views / --no-views  serve point lookups from lazy mmap-backed
- *                       ProfileViews (default on; ignored with
- *                       --bloom, whose one-sided answers differ)
+ *   --views / --no-views  serve point lookups from lazy ProfileViews,
+ *                       which read only the blocks a lookup needs
+ *                       (default on; ignored with --bloom, whose
+ *                       one-sided answers differ)
  *   --profile-format F  format for newly committed profiles (demo
  *                       seeding): v2|binary (default) or v1|text;
  *                       stored profiles in either format are served
@@ -51,6 +52,10 @@
  *   --max-conns N       networked mode: connection cap (default 256)
  *   --queue-cap N       engine queue capacity (default 4096); small
  *                       values surface Rejected backpressure
+ *
+ * Every cached view holds an open file descriptor, and the cache keeps
+ * at most half of the soft RLIMIT_NOFILE as views, so the daemon
+ * raises its soft limit to the hard limit at start.
  */
 
 #include <cstdlib>
@@ -59,6 +64,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "reaper/reaper.h"
 
@@ -79,8 +86,8 @@ usage(const char *argv0)
               << "  --unknown-frac R  absent-key fraction (default "
                  "0.01)\n"
               << "  --bloom           Bloom-filter directories\n"
-              << "  --views/--no-views  lazy view point lookups "
-                 "(default on)\n"
+              << "  --views/--no-views  lazy view point lookups, "
+                 "reading only the needed blocks (default on)\n"
               << "  --profile-format F  v2|binary (default) or "
                  "v1|text\n"
               << "  --seed S          workload seed (default 1)\n"
@@ -97,6 +104,21 @@ usage(const char *argv0)
 
 constexpr uint64_t kRowBits = 2048 * 8; ///< 2 KiB rows
 constexpr uint64_t kRowsPerChip = 1ull << 16;
+
+/** Raise the soft RLIMIT_NOFILE to the hard limit: cached views hold
+ *  descriptors, and the cache sizes its view bound from the soft
+ *  limit when it is constructed. */
+void
+raiseDescriptorLimit()
+{
+    rlimit rl;
+    if (::getrlimit(RLIMIT_NOFILE, &rl) != 0 || rl.rlim_cur == rl.rlim_max)
+        return;
+    rl.rlim_cur = rl.rlim_max;
+    if (::setrlimit(RLIMIT_NOFILE, &rl) != 0)
+        std::cerr << "serve_daemon: warning: cannot raise the soft "
+                     "descriptor limit to the hard limit\n";
+}
 
 /** Seed an empty store with synthetic per-chip retention profiles
  *  (stand-in for a campaign_runner output directory). */
@@ -199,6 +221,7 @@ main(int argc, char **argv)
             usage(argv[0]);
     }
 
+    raiseDescriptorLimit();
     campaign::ProfileStore store(dir, profile_format);
     if (store.size() == 0)
         seedDemoStore(store);

@@ -589,7 +589,7 @@ ProfileStore::openView(const std::string &key) const
     }
     // The open itself runs unlocked: a concurrent commit renames a
     // complete replacement file into place, and an already-open view
-    // keeps its inode mapped either way.
+    // keeps reading the inode it opened either way.
     return profiling::ProfileView::open(path.string());
 }
 

@@ -27,7 +27,7 @@
  * openView() hands out a block-indexed profiling::ProfileView, so
  * serve-layer point lookups stop scaling with profile size; the view
  * stays valid across later commits because commits replace files via
- * rename (the view keeps its inode mapped).
+ * rename (the view holds a descriptor on the inode it opened).
  *
  * Readers are thread-safe: the in-memory index is guarded by a
  * shared_mutex, so any number of threads may call has/tryLoad/

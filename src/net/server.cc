@@ -411,13 +411,23 @@ Server::onEngineResponse(const serve::Response &resp)
         Conn &conn = *cit->second;
         WireResponse wireResp;
         wireResp.id = origin.clientId;
-        if (resp.status == serve::ResponseStatus::Ok) {
+        switch (resp.status) {
+        case serve::ResponseStatus::Ok:
             wireResp.status = WireStatus::Ok;
             responsesOk_.fetch_add(1, std::memory_order_relaxed);
-        } else {
+            break;
+        case serve::ResponseStatus::UnknownProfile:
             wireResp.status = WireStatus::NotFound;
             responsesNotFound_.fetch_add(1,
                                          std::memory_order_relaxed);
+            break;
+        case serve::ResponseStatus::RetryLater:
+            // A profile that could not be read is not absent: the
+            // client may retry, exactly as after backpressure.
+            wireResp.status = WireStatus::Rejected;
+            responsesRejected_.fetch_add(1,
+                                         std::memory_order_relaxed);
+            break;
         }
         wireResp.weak = resp.weak;
         wireResp.bin = resp.bin;

@@ -84,7 +84,8 @@ struct ServerStats
     uint64_t requests = 0;      ///< decoded from QueryBatch frames
     uint64_t responsesOk = 0;
     uint64_t responsesNotFound = 0;
-    uint64_t responsesRejected = 0; ///< backpressure sheds
+    uint64_t responsesRejected = 0; ///< backpressure sheds + reads
+                                    ///< to retry (RetryLater)
     uint64_t responsesOrphaned = 0; ///< connection gone before answer
     uint64_t protocolErrors = 0;    ///< bad frames from clients
 };

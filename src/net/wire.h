@@ -37,7 +37,8 @@
  *                             configuration
  *   QueryBatch                N point lookups (client-chosen ids)
  *   ResponseBatch             N answers, keyed by those ids; statuses
- *                             Ok / NotFound / Rejected (backpressure)
+ *                             Ok / NotFound / Rejected (backpressure
+ *                             or a profile unreadable right now)
  *   ProtocolError             terminal server diagnostic before close
  *
  * Responses may arrive out of order and regrouped across batches; the
@@ -98,13 +99,14 @@ enum class WireStatus : uint8_t
 {
     Ok = 0,       ///< answered from a compiled directory
     NotFound = 1, ///< no profile stored under the key
-    Rejected = 2, ///< shed by queue backpressure — safe to retry
+    Rejected = 2, ///< shed by queue backpressure, or the profile could
+                  ///< not be read right now — safe to retry
 };
 
 const char *toString(WireStatus s);
 
-/** One decoded answer (the wire mirror of serve::Response plus the
- *  Rejected backpressure status, which never reaches the engine). */
+/** One decoded answer (the wire mirror of serve::Response; Rejected
+ *  also carries backpressure sheds, which never reach the engine). */
 struct WireResponse
 {
     uint64_t id = 0;

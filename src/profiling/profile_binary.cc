@@ -95,7 +95,7 @@ parseProfileFormat(const std::string &name)
                                 "' (expected v1|text|v2|binary|delta)");
 }
 
-// --- shared wire parsing (streaming reader + mmap view) ---
+// --- shared wire parsing (streaming reader + ProfileView) ---
 
 Expected<BinaryHeader>
 parseBinaryHeader(const uint8_t *h)

@@ -196,9 +196,10 @@ struct BlockDecode
  * Decode one self-contained block frame ([u32 cells][u32 payload
  * len][payload][u32 crc]) from `avail` bytes at `p`, appending its
  * cells to `out`. Shared decode core of the streaming
- * BinaryProfileReader and the mmap-backed ProfileView. `prev` is the
- * last cell decoded before this block (nullptr for the first block);
- * ordering across the boundary and within the block is enforced.
+ * BinaryProfileReader and ProfileView (over the frame bytes it read
+ * from its file or buffer). `prev` is the last cell decoded before
+ * this block (nullptr for the first block); ordering across the
+ * boundary and within the block is enforced.
  * `varints` is reused scratch. On error `out` is restored to its
  * original size. Errors: Corrupt (truncation, checksum, bad varints,
  * ordering, cell count out of range).

@@ -117,7 +117,7 @@ readProfile(const ProfileSource &src);
 
 /**
  * @deprecated An opaque stream forces an eager front-to-back decode
- * and hides the source, so nothing can be mmapped or lazily decoded.
+ * and hides the source, so nothing can be read lazily by offset.
  * Use readProfile(ProfileSource::fromStream(is)) where a stream is
  * unavoidable, or better, a File/Memory source (or ProfileView
  * directly).

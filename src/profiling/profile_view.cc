@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <mutex>
 #include <utility>
 
-#ifndef _WIN32
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 #include "obs/obs.h"
 
@@ -32,27 +29,17 @@ constexpr uint64_t kReserveClampCells = 1u << 20;
 
 struct ProfileView::Impl
 {
-    // Backing bytes: either an owned buffer (fromBuffer / mmap
-    // fallback) or a read-only file mapping.
+    // Backing bytes: a descriptor read with pread() (open) or an owned
+    // buffer (fromBuffer). readAt() is the only way either is read.
+    int fd = -1;
     std::string owned;
-    const uint8_t *data = nullptr;
-    size_t size = 0;
-#ifndef _WIN32
-    void *mapBase = nullptr;
-    size_t mapLen = 0;
-#endif
+    uint64_t size = 0;
 
     BinaryHeader header{};
     BinaryFooter footer{};
     std::vector<BlockIndexEntry> index;
     /** Where the index section begins == where the last block ends. */
     uint64_t indexOffset = 0;
-    /** The trailing index + footer bytes, pread() into one buffer at
-     *  open so validating them costs two syscalls instead of a minor
-     *  fault per mapped index page (the dominant open cost on large
-     *  profiles). Empty when the tail could not be pre-read; parsing
-     *  then falls back to the mapped bytes. */
-    std::string idxTail;
 
     /** Memoized decoded blocks, one slot per block. unique_ptr so a
      *  decoded block's address is stable across later decodes. */
@@ -61,36 +48,76 @@ struct ProfileView::Impl
         memo;
     mutable std::atomic<uint64_t> decodes{0};
 
+    Impl() = default;
+    Impl(const Impl &) = delete;
+    Impl &operator=(const Impl &) = delete;
     ~Impl()
     {
-#ifndef _WIN32
-        if (mapBase != nullptr)
-            ::munmap(mapBase, mapLen);
-#endif
+        if (fd >= 0)
+            ::close(fd);
     }
 
     /**
-     * Decode block `i` into `out` using the index for framing (the
-     * block spans [offset_i, offset_{i+1}) and must match its index
-     * entry exactly — count, first and last key, byte length).
+     * Bytes [offset, offset + length) of the file: a pointer into the
+     * owned buffer, or into `scratch` after pread()ing them from the
+     * descriptor. Errors: Corrupt (the range passes the end of the
+     * file), Io (the read failed, or the file shrank while open).
+     */
+    Expected<const uint8_t *> readAt(uint64_t offset, uint64_t length,
+                                     std::string &scratch) const
+    {
+        if (offset > size || length > size - offset)
+            return Error::corrupt("read past the end of the profile");
+        if (fd < 0)
+            return reinterpret_cast<const uint8_t *>(owned.data()) +
+                   offset;
+        scratch.resize(static_cast<size_t>(length));
+        size_t done = 0;
+        while (done < length) {
+            ssize_t n = ::pread(fd, scratch.data() + done,
+                                static_cast<size_t>(length) - done,
+                                static_cast<off_t>(offset + done));
+            if (n > 0) {
+                done += static_cast<size_t>(n);
+                continue;
+            }
+            if (n < 0 && errno == EINTR)
+                continue;
+            return Error::io(n == 0 ? std::string("file shrank while open")
+                                    : std::string("read failed: ") +
+                                          std::strerror(errno));
+        }
+        return reinterpret_cast<const uint8_t *>(scratch.data());
+    }
+
+    /** End of block `i`'s frame == start of the next frame. */
+    uint64_t spanEnd(size_t i) const
+    {
+        return i + 1 < index.size() ? index[i + 1].offset : indexOffset;
+    }
+
+    /**
+     * Decode block `i`, whose frame bytes [offset_i, offset_{i+1})
+     * start at `frame`, into `out`. The block must match its index
+     * entry exactly — count, first and last key, byte length.
      */
     Expected<BlockDecode>
-    decodeSpan(size_t i, std::vector<dram::ChipFailure> &out,
+    decodeSpan(size_t i, const uint8_t *frame,
+               std::vector<dram::ChipFailure> &out,
                std::vector<uint64_t> &varints) const
     {
         const BlockIndexEntry &e = index[i];
-        uint64_t end = i + 1 < index.size() ? index[i + 1].offset
-                                            : indexOffset;
+        uint64_t len = spanEnd(i) - e.offset;
         size_t base = out.size();
         const dram::ChipFailure *prev =
             i > 0 ? &index[i - 1].last : nullptr;
-        Expected<BlockDecode> dec = decodeBlockFrame(
-            data + e.offset, static_cast<size_t>(end - e.offset),
-            header.blockCells, e.cells, prev, out, varints);
+        Expected<BlockDecode> dec =
+            decodeBlockFrame(frame, static_cast<size_t>(len),
+                             header.blockCells, e.cells, prev, out,
+                             varints);
         if (!dec)
             return dec;
-        if (dec.value().cells != e.cells ||
-            dec.value().bytes != end - e.offset ||
+        if (dec.value().cells != e.cells || dec.value().bytes != len ||
             !(out[base] == e.first) || !(out.back() == e.last)) {
             out.resize(base);
             return Error::corrupt("block " + std::to_string(i) +
@@ -99,22 +126,62 @@ struct ProfileView::Impl
         return dec;
     }
 
-    /** Decode-and-memoize block `i`; cheap after the first call. */
+    /** Read and decode-and-memoize block `i`; cheap after the first
+     *  call, which reads exactly the block's frame bytes. */
     Expected<const std::vector<dram::ChipFailure> *>
     block(size_t i) const
     {
         std::lock_guard<std::mutex> lock(mu);
         if (memo[i])
             return memo[i].get();
+        std::string scratch;
+        Expected<const uint8_t *> frame =
+            readAt(index[i].offset, spanEnd(i) - index[i].offset,
+                   scratch);
+        if (!frame)
+            return frame.error();
         auto cells = std::make_unique<std::vector<dram::ChipFailure>>();
         std::vector<uint64_t> varints;
-        Expected<BlockDecode> dec = decodeSpan(i, *cells, varints);
+        Expected<BlockDecode> dec =
+            decodeSpan(i, frame.value(), *cells, varints);
         if (!dec)
             return dec.error();
         memo[i] = std::move(cells);
         decodes.fetch_add(1, std::memory_order_relaxed);
         REAPER_OBS_COUNT("profiling.view_block_decodes");
         return memo[i].get();
+    }
+
+    /**
+     * Read the whole file once and stream every block's cells through
+     * `fn` in file order; with `checkFileCrc`, first verify the
+     * footer's whole-file CRC over the bytes read.
+     */
+    Status scan(bool checkFileCrc,
+                const std::function<void(const dram::ChipFailure *,
+                                         size_t)> &fn) const
+    {
+        std::string scratch;
+        Expected<const uint8_t *> file = readAt(0, size, scratch);
+        if (!file)
+            return file.error();
+        if (checkFileCrc &&
+            crc32c(0, file.value(), size - kBinaryFooterBytes) !=
+                footer.fileCrc)
+            return Error::corrupt("file checksum mismatch");
+        std::vector<dram::ChipFailure> out;
+        std::vector<uint64_t> varints;
+        for (size_t i = 0; i < index.size(); ++i) {
+            out.clear();
+            Expected<BlockDecode> dec = decodeSpan(
+                i, file.value() + index[i].offset, out, varints);
+            if (!dec)
+                return dec.error();
+            decodes.fetch_add(1, std::memory_order_relaxed);
+            fn(out.data(), out.size());
+        }
+        REAPER_OBS_COUNT_N("profiling.view_block_decodes", index.size());
+        return common::okStatus();
     }
 
     /** Index of the only block that could hold a key in [lo, …], or
@@ -142,23 +209,26 @@ ProfileView::~ProfileView() = default;
 Expected<ProfileView>
 ProfileView::openImpl(std::unique_ptr<Impl> impl)
 {
-    const uint8_t *d = impl->data;
-    size_t size = impl->size;
+    const uint64_t size = impl->size;
     if (size < kBinaryHeaderBytes + kBinaryIndexFixedBytes +
                    kBinaryFooterBytes)
         return Error::corrupt("truncated binary profile (" +
                               std::to_string(size) + " bytes)");
-    Expected<BinaryHeader> header = parseBinaryHeader(d);
+    std::string scratch;
+    Expected<const uint8_t *> bytes =
+        impl->readAt(0, kBinaryHeaderBytes, scratch);
+    if (!bytes)
+        return bytes.error();
+    Expected<BinaryHeader> header = parseBinaryHeader(bytes.value());
     if (!header)
         return header.error();
     impl->header = header.value();
 
-    const uint8_t *tail =
-        reinterpret_cast<const uint8_t *>(impl->idxTail.data());
-    bool haveTail = !impl->idxTail.empty();
-    Expected<BinaryFooter> footer = parseBinaryFooter(
-        haveTail ? tail + impl->idxTail.size() - kBinaryFooterBytes
-                 : d + size - kBinaryFooterBytes);
+    bytes = impl->readAt(size - kBinaryFooterBytes, kBinaryFooterBytes,
+                         scratch);
+    if (!bytes)
+        return bytes.error();
+    Expected<BinaryFooter> footer = parseBinaryFooter(bytes.value());
     if (!footer)
         return footer.error();
     impl->footer = footer.value();
@@ -167,13 +237,12 @@ ProfileView::openImpl(std::unique_ptr<Impl> impl)
     if (idxBytes + kBinaryHeaderBytes + kBinaryFooterBytes > size)
         return Error::corrupt("file too small for its block index");
     impl->indexOffset = size - kBinaryFooterBytes - idxBytes;
-    // The pre-read tail is only usable when it covers exactly the
-    // index + footer the footer describes.
-    if (impl->idxTail.size() != idxBytes + kBinaryFooterBytes)
-        haveTail = false;
-    Expected<std::vector<BlockIndexEntry>> index = parseBlockIndex(
-        haveTail ? tail : d + impl->indexOffset,
-        static_cast<size_t>(idxBytes), impl->footer.blockCount);
+    bytes = impl->readAt(impl->indexOffset, idxBytes, scratch);
+    if (!bytes)
+        return bytes.error();
+    Expected<std::vector<BlockIndexEntry>> index =
+        parseBlockIndex(bytes.value(), static_cast<size_t>(idxBytes),
+                        impl->footer.blockCount);
     if (!index)
         return index.error();
     impl->index = std::move(index).value();
@@ -203,73 +272,14 @@ Expected<ProfileView>
 ProfileView::open(const std::string &path)
 {
     auto impl = std::make_unique<Impl>();
-#ifndef _WIN32
-    int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        return Error::io("cannot open '" + path + "'");
+    impl->fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (impl->fd < 0)
+        return Error::io("cannot open '" + path +
+                         "': " + std::strerror(errno));
     struct stat st;
-    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-        ::close(fd);
+    if (::fstat(impl->fd, &st) != 0 || !S_ISREG(st.st_mode))
         return Error::io("cannot stat '" + path + "'");
-    }
-    impl->size = static_cast<size_t>(st.st_size);
-    if (impl->size > 0) {
-        void *m = ::mmap(nullptr, impl->size, PROT_READ, MAP_PRIVATE,
-                         fd, 0);
-        if (m != MAP_FAILED) {
-            impl->mapBase = m;
-            impl->mapLen = impl->size;
-            impl->data = static_cast<const uint8_t *>(m);
-        }
-    }
-    if (impl->data != nullptr &&
-        impl->size >= kBinaryHeaderBytes + kBinaryIndexFixedBytes +
-                          kBinaryFooterBytes) {
-        // Pre-read the trailing index + footer in two pread()s so
-        // openImpl validates them without faulting a mapped page per
-        // index page. Best-effort: any failure just leaves the mapped
-        // fallback.
-        uint8_t f[kBinaryFooterBytes];
-        if (::pread(fd, f, kBinaryFooterBytes,
-                    static_cast<off_t>(impl->size -
-                                       kBinaryFooterBytes)) ==
-            static_cast<ssize_t>(kBinaryFooterBytes)) {
-            Expected<BinaryFooter> ft = parseBinaryFooter(f);
-            if (ft.hasValue()) {
-                uint64_t tailBytes =
-                    indexSectionBytes(ft.value().blockCount) +
-                    kBinaryFooterBytes;
-                if (tailBytes <= impl->size) {
-                    impl->idxTail.resize(
-                        static_cast<size_t>(tailBytes));
-                    if (::pread(fd, impl->idxTail.data(),
-                                static_cast<size_t>(tailBytes),
-                                static_cast<off_t>(impl->size -
-                                                   tailBytes)) !=
-                        static_cast<ssize_t>(tailBytes))
-                        impl->idxTail.clear();
-                }
-            }
-        }
-    }
-    ::close(fd);
-#endif
-    if (impl->data == nullptr) {
-        // No mapping (mmap failed or unsupported): fall back to an
-        // owned in-memory copy. Lazy block decode still applies; only
-        // the zero-copy property is lost.
-        std::ifstream is(path, std::ios::binary);
-        if (!is)
-            return Error::io("cannot open '" + path + "'");
-        std::string bytes((std::istreambuf_iterator<char>(is)),
-                          std::istreambuf_iterator<char>());
-        if (!is.good() && !is.eof())
-            return Error::io("cannot read '" + path + "'");
-        impl->owned = std::move(bytes);
-        impl->data =
-            reinterpret_cast<const uint8_t *>(impl->owned.data());
-        impl->size = impl->owned.size();
-    }
+    impl->size = static_cast<uint64_t>(st.st_size);
     Expected<ProfileView> view = openImpl(std::move(impl));
     if (!view) {
         Error e = view.error();
@@ -284,7 +294,6 @@ ProfileView::fromBuffer(std::string bytes)
 {
     auto impl = std::make_unique<Impl>();
     impl->owned = std::move(bytes);
-    impl->data = reinterpret_cast<const uint8_t *>(impl->owned.data());
     impl->size = impl->owned.size();
     return openImpl(std::move(impl));
 }
@@ -379,19 +388,7 @@ ProfileView::forEachBlock(
     const std::function<void(const dram::ChipFailure *, size_t)> &fn)
     const
 {
-    std::vector<dram::ChipFailure> out;
-    std::vector<uint64_t> varints;
-    for (size_t i = 0; i < impl_->index.size(); ++i) {
-        out.clear();
-        Expected<BlockDecode> dec = impl_->decodeSpan(i, out, varints);
-        if (!dec)
-            return dec.error();
-        impl_->decodes.fetch_add(1, std::memory_order_relaxed);
-        fn(out.data(), out.size());
-    }
-    REAPER_OBS_COUNT_N("profiling.view_block_decodes",
-                       impl_->index.size());
-    return common::okStatus();
+    return impl_->scan(false, fn);
 }
 
 Expected<RetentionProfile>
@@ -400,14 +397,11 @@ ProfileView::materialize() const
     // Full decodes get the same whole-file guarantee as the streaming
     // reader: every byte before the footer is covered by the file CRC
     // (the lazy paths only cover the bytes a query touches).
-    if (crc32c(0, impl_->data, impl_->size - kBinaryFooterBytes) !=
-        impl_->footer.fileCrc)
-        return Error::corrupt("file checksum mismatch");
     std::vector<dram::ChipFailure> cells;
     cells.reserve(static_cast<size_t>(
         std::min(impl_->header.cellCount, kReserveClampCells)));
-    Status walked =
-        forEachBlock([&cells](const dram::ChipFailure *p, size_t n) {
+    Status walked = impl_->scan(
+        true, [&cells](const dram::ChipFailure *p, size_t n) {
             cells.insert(cells.end(), p, p + n);
         });
     if (!walked)

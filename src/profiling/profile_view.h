@@ -1,7 +1,7 @@
 /**
  * @file
- * ProfileView: a lazy, mmap-backed, zero-copy read handle over a
- * REAPER-PROFILE v2 file.
+ * ProfileView: a lazy read handle over a REAPER-PROFILE v2 file that
+ * reads only the bytes a query needs.
  *
  * The eager readers (profile_binary.h, profile_io.h) decode a whole
  * file even when the caller wants one row — which makes cold-miss
@@ -23,14 +23,25 @@
  * first decode and the decoded key range cross-checked against the
  * index), so repeated queries against the same rows stay cheap.
  *
+ * A file-backed view holds an open descriptor and reads it with
+ * pread(): open() reads the header, the footer and the index (three
+ * reads), a block's first decode reads exactly that block's frame,
+ * and materialize()/forEachBlock() read the whole file once. A view
+ * over a buffer (fromBuffer) goes through the same read primitive,
+ * so both backings parse and decode identically. (Mapping the file
+ * instead made every cold open and every close change the process's
+ * address space, which serializes concurrent openers on the kernel's
+ * per-process lock; see DESIGN.md §15.)
+ *
  * Lifetime and aliasing rules (see DESIGN.md §15):
- *   - A view holds the file mapping for its whole lifetime. Decoded
- *     cells returned by queries are owned copies — they never alias
- *     the mapping.
+ *   - A view holds its descriptor for its whole lifetime, so every
+ *     open view counts against RLIMIT_NOFILE (serve::ProfileCache
+ *     bounds how many it keeps). Decoded cells returned by queries
+ *     are owned copies.
  *   - The underlying file must not be truncated or rewritten in place
- *     while a view is open. Atomic rename-replace (what
- *     campaign::ProfileStore does) is safe: the view keeps reading
- *     the old inode.
+ *     while a view is open (a read that comes up short reports Io).
+ *     Atomic rename-replace (what campaign::ProfileStore does) is
+ *     safe: the view keeps reading the inode it opened.
  *   - Views are movable, not copyable. All query methods are const
  *     and safe to call concurrently.
  *
@@ -58,18 +69,19 @@ class ProfileView
 {
   public:
     /**
-     * Map `path` and validate its fixed sections (header magic,
-     * version and CRC; index magic, CRC and structural invariants;
-     * footer magic and block count; section sizes against the file
-     * size). Block payloads are NOT touched — their CRCs are checked
-     * lazily on first decode. Errors: Io (open/stat/map failed),
-     * Parse (not a v2 profile), Corrupt (damaged fixed sections).
+     * Open `path`, keep its descriptor, and read and validate its
+     * fixed sections (header magic, version and CRC; index magic, CRC
+     * and structural invariants; footer magic and block count;
+     * section sizes against the file size). Block payloads are NOT
+     * read — their CRCs are checked lazily on first decode. Errors:
+     * Io (open/stat/read failed, e.g. EMFILE), Parse (not a v2
+     * profile), Corrupt (damaged fixed sections).
      */
     static common::Expected<ProfileView> open(const std::string &path);
 
     /** Same validation over an in-memory copy of a v2 file. The view
-     *  owns the buffer. Used by tests and the memory-sourced
-     *  readProfile() path. */
+     *  owns the buffer and holds no descriptor. Used by tests and the
+     *  memory-sourced readProfile() path. */
     static common::Expected<ProfileView> fromBuffer(std::string bytes);
 
     ProfileView(ProfileView &&) noexcept;
@@ -109,17 +121,19 @@ class ProfileView
 
     /**
      * Stream every block's cells through `fn(cells, count)` in file
-     * order, using transient scratch (nothing new is memoized).
-     * Errors: Corrupt (first damaged block aborts the walk).
+     * order. Reads the whole file once into transient scratch
+     * (nothing new is memoized). Errors: Corrupt (first damaged block
+     * aborts the walk), Io (the read failed).
      */
     common::Status
     forEachBlock(const std::function<void(const dram::ChipFailure *,
                                           size_t)> &fn) const;
 
     /**
-     * Decode the whole file into a RetentionProfile. Also verifies
-     * the footer's whole-file CRC over the mapping, making this path
-     * bit-for-bit as strict as readProfileBinary(). Errors: Corrupt.
+     * Decode the whole file into a RetentionProfile. Reads the file
+     * once and also verifies the footer's whole-file CRC over it,
+     * making this path bit-for-bit as strict as readProfileBinary().
+     * Errors: Corrupt, Io (the read failed).
      */
     common::Expected<RetentionProfile> materialize() const;
 

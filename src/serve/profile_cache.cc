@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
+
+#include <sys/resource.h>
 
 namespace reaper {
 namespace serve {
@@ -18,13 +21,25 @@ roundUpPow2(size_t n)
 }
 
 /**
- * Nominal accounted size of a retained ProfileView: the mapping is
- * file-backed (reclaimable under memory pressure), so charging the
- * file size would evict everything for bytes that are not resident.
- * Only the decoded-block memo truly occupies memory, and point
- * lookups keep that to a handful of blocks.
+ * Nominal accounted size of a retained ProfileView. A view reads its
+ * file on demand and keeps only the header, the block index and the
+ * blocks it has decoded, so charging the file size would evict
+ * everything for bytes that are not resident. Point lookups keep the
+ * decoded-block memo to a handful of blocks.
  */
 constexpr size_t kViewEntryBytes = 4096;
+
+/** Half of the soft RLIMIT_NOFILE: the most views a cache keeps open,
+ *  leaving the other half to the rest of the process. */
+size_t
+openViewBound()
+{
+    struct rlimit rl;
+    if (::getrlimit(RLIMIT_NOFILE, &rl) != 0 ||
+        rl.rlim_cur == RLIM_INFINITY)
+        return SIZE_MAX;
+    return static_cast<size_t>(rl.rlim_cur / 2);
+}
 
 } // namespace
 
@@ -46,6 +61,7 @@ ProfileCache::ProfileCache(const campaign::ProfileStore &store,
     size_t n = roundUpPow2(std::max<size_t>(cfg_.shards, 1));
     cfg_.shards = n;
     shardCapacity_ = std::max<size_t>(cfg_.capacityBytes / n, 1);
+    shardViews_ = std::max<size_t>(openViewBound() / n, 1);
     shards_.reserve(n);
     for (size_t i = 0; i < n; ++i)
         shards_.push_back(std::make_unique<Shard>());
@@ -86,10 +102,26 @@ ProfileCache::loadAndCompile(
     common::Expected<profiling::RetentionProfile> profile =
         store_.load(key);
     if (!profile)
-        return {nullptr, CacheOutcome::NotFound};
+        return {nullptr, profile.error().category ==
+                                 common::ErrorCategory::NotFound
+                             ? CacheOutcome::NotFound
+                             : CacheOutcome::Failed};
     auto dir = std::make_shared<const RefreshDirectory>(
         RefreshDirectory::compile(profile.value(), cfg_.directory));
     return {std::move(dir), CacheOutcome::Miss};
+}
+
+void
+ProfileCache::eraseLocked(
+    Shard &shard, std::unordered_map<std::string, Entry>::iterator it)
+{
+    shard.bytes -= it->second.bytes;
+    if (it->second.view)
+        --shard.views;
+    bytes_.add(-static_cast<int64_t>(it->second.bytes));
+    entries_.add(-1);
+    shard.lru.erase(it->second.lruPos);
+    shard.map.erase(it);
 }
 
 void
@@ -104,19 +136,17 @@ ProfileCache::insertLocked(
         // keep the old view rather than dropping its decoded blocks.
         if (!view && !negative)
             view = old->second.view;
-        shard.bytes -= old->second.bytes;
-        bytes_.add(-static_cast<int64_t>(old->second.bytes));
-        entries_.add(-1);
-        shard.lru.erase(old->second.lruPos);
-        shard.map.erase(old);
+        eraseLocked(shard, old);
     }
     size_t bytes = key.size();
     if (negative)
         bytes += cfg_.negativeEntryBytes;
     if (dir)
         bytes += dir->sizeBytes();
-    if (view)
+    if (view) {
         bytes += kViewEntryBytes;
+        ++shard.views;
+    }
     shard.lru.push_front(key);
     Entry entry{std::move(dir), std::move(view), negative, bytes,
                 shard.lru.begin()};
@@ -125,18 +155,23 @@ ProfileCache::insertLocked(
     bytes_.add(static_cast<int64_t>(bytes));
     entries_.add(1);
 
-    // Evict LRU entries until we fit; never the one just inserted
-    // (an oversized directory stays resident alone rather than
-    // thrashing — readers still need it).
-    while (shard.bytes > shardCapacity_ && shard.lru.size() > 1) {
-        const std::string &victim = shard.lru.back();
-        auto it = shard.map.find(victim);
-        shard.bytes -= it->second.bytes;
-        bytes_.add(-static_cast<int64_t>(it->second.bytes));
-        entries_.add(-1);
+    // Evict LRU entries until we fit the byte budget and the view
+    // share; never the one just inserted (an oversized directory
+    // stays resident alone rather than thrashing — readers still
+    // need it).
+    while (shard.lru.size() > 1) {
+        auto victim = std::prev(shard.lru.end());
+        if (shard.bytes <= shardCapacity_) {
+            if (shard.views <= shardViews_)
+                break;
+            // Only the descriptor bound is exceeded: the least
+            // recently used view entry goes. At least two entries
+            // hold views, so one sits behind the front.
+            while (!shard.map.find(*victim)->second.view)
+                --victim;
+        }
         evictions_.add();
-        shard.map.erase(it);
-        shard.lru.pop_back();
+        eraseLocked(shard, shard.map.find(*victim));
     }
 }
 
@@ -184,7 +219,11 @@ ProfileCache::get(const std::string &key)
         insertLocked(shard, key, result.dir, std::move(view), false);
     else {
         failedLoads_.add();
-        if (cfg_.negativeCache)
+        // Only absence is remembered: a profile that exists but could
+        // not be read (EMFILE, I/O error, corruption) is tried again
+        // by the next lookup.
+        if (cfg_.negativeCache &&
+            result.outcome == CacheOutcome::NotFound)
             insertLocked(shard, key, nullptr, nullptr, true);
     }
     flight->result = result;
@@ -232,9 +271,10 @@ ProfileCache::isRowWeakView(const std::string &key, uint32_t chip,
     }
 
     if (!view) {
-        // Cold key: open a lazy view — mmap + index parse, no decode,
-        // no compile. Opens are cheap, so no singleflight here; a
-        // racing opener just discards its view for the winner's.
+        // Cold key: open a lazy view — header, footer and index
+        // reads, no decode, no compile. Opens are cheap, so no
+        // singleflight here; a racing opener just discards its view
+        // for the winner's.
         common::Expected<profiling::ProfileView> opened =
             store_.openView(key);
         if (!opened) {
@@ -282,13 +322,8 @@ ProfileCache::invalidate(const std::string &key)
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mtx);
     auto it = shard.map.find(key);
-    if (it == shard.map.end())
-        return;
-    shard.bytes -= it->second.bytes;
-    bytes_.add(-static_cast<int64_t>(it->second.bytes));
-    entries_.add(-1);
-    shard.lru.erase(it->second.lruPos);
-    shard.map.erase(it);
+    if (it != shard.map.end())
+        eraseLocked(shard, it);
 }
 
 CacheCounters

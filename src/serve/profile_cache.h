@@ -19,22 +19,31 @@
  *  - **Negative caching.** A key absent from the store is remembered
  *    (with a small byte charge), so repeated lookups of unknown chips
  *    do not hammer the store index. Committing a new profile requires
- *    invalidate() to drop the negative entry.
+ *    invalidate() to drop the negative entry. Only absence is
+ *    remembered: a stored profile that cannot be read (out of
+ *    descriptors, I/O error, corruption) yields CacheOutcome::Failed
+ *    and the next lookup tries the store again.
  *  - **View serving (opt-in).** With CacheConfig::serveFromViews, a
  *    point lookup on a cold key goes through isRowWeakView(): the
- *    cache opens a lazy profiling::ProfileView (mmap + index parse —
- *    no full decode, no compile) and answers the row query from at
- *    most one decoded block, so cold-miss latency stops scaling with
- *    profile size. Views ride the same LRU entries as directories;
- *    opens are cheap enough that cold view lookups skip the
- *    singleflight machinery (racing openers discard the losing view).
+ *    cache opens a lazy profiling::ProfileView (three preads of the
+ *    header, footer and index — no full decode, no compile) and
+ *    answers the row query from at most one decoded block, so
+ *    cold-miss latency stops scaling with profile size. Views ride
+ *    the same LRU entries as directories; opens are cheap enough that
+ *    cold view lookups skip the singleflight machinery (racing
+ *    openers discard the losing view).
  *
  * Eviction is byte-accounted: each shard holds capacityBytes/shards
  * and evicts least-recently-used entries when an insert overflows it.
  * Evicted directories stay alive for any reader still holding the
  * shared_ptr — eviction only drops the cache's reference. A view
- * entry is charged a small nominal size: its mapping is file-backed
- * and reclaimable, only the decoded-block memo is truly resident.
+ * entry is charged a small nominal size (see kViewEntryBytes).
+ *
+ * Every retained view holds an open file descriptor, so the cache
+ * also bounds how many it keeps: at most half of the soft
+ * RLIMIT_NOFILE read at construction, split evenly across the shards
+ * (at least one per shard). A shard over its share evicts its
+ * least-recently-used view entries.
  */
 
 #ifndef REAPER_SERVE_PROFILE_CACHE_H
@@ -87,12 +96,15 @@ enum class CacheOutcome
     Miss,        ///< loaded from the store (or waited on that load)
     NegativeHit, ///< known-absent key served from the negative cache
     NotFound,    ///< key absent; this lookup consulted the store
+    Failed,      ///< key stored but its profile could not be read;
+                 ///< not remembered, so a later lookup retries
 };
 
 /** Result of one cache lookup. */
 struct CacheResult
 {
-    /** The compiled directory; null for NegativeHit/NotFound. */
+    /** The compiled directory; null for NegativeHit/NotFound/
+     *  Failed. */
     std::shared_ptr<const RefreshDirectory> dir;
     CacheOutcome outcome = CacheOutcome::NotFound;
 };
@@ -128,7 +140,8 @@ struct CacheCounters
     uint64_t misses = 0;       ///< get()s that could not be served hot
     uint64_t negativeHits = 0;
     uint64_t loads = 0;        ///< actual store load + compile runs
-    uint64_t failedLoads = 0;  ///< loads that found no/corrupt profile
+    uint64_t failedLoads = 0;  ///< loads that found no/unreadable
+                               ///< profile
     uint64_t viewHits = 0;     ///< point lookups served from a view
     uint64_t viewLoads = 0;    ///< lazy view opens (cold point lookups)
     uint64_t evictions = 0;
@@ -147,19 +160,20 @@ class ProfileCache
      * Look up (loading and compiling on miss) the directory for a
      * profile key. Thread-safe; concurrent misses on one key share one
      * load. Never throws on unknown keys — they yield NotFound (and a
-     * negative entry when enabled).
+     * negative entry when enabled). A stored profile that cannot be
+     * read yields Failed and leaves no entry.
      */
     CacheResult get(const std::string &key);
 
     /**
      * Point lookup through a lazy view: is any profiled failing cell
      * in row `row` of chip `chip`? On a cold key this opens a
-     * ProfileView (mmap + index parse) instead of loading and
-     * compiling the whole profile, and the query itself decodes at
-     * most one block. Returns Unavailable whenever the view path
+     * ProfileView (header, footer and index reads) instead of
+     * loading and compiling the whole profile, and the query itself
+     * decodes at most one block. Returns Unavailable whenever the view path
      * cannot give the exact answer (serveFromViews off, Bloom
-     * directories, v1 text base, corrupt block) — the caller then
-     * falls back to get(). Thread-safe.
+     * directories, v1 text base, unreadable file, corrupt block) — the
+     * caller then falls back to get(). Thread-safe.
      */
     ViewAnswer isRowWeakView(const std::string &key, uint32_t chip,
                              uint64_t row);
@@ -209,12 +223,19 @@ class ProfileCache
         std::unordered_map<std::string, std::shared_ptr<Inflight>>
             inflight;
         size_t bytes = 0;
+        /** Resident entries holding a view (an open descriptor). */
+        size_t views = 0;
     };
 
     Shard &shardFor(const std::string &key);
+    /** Drop one resident entry and its accounting; caller holds the
+     *  shard lock. */
+    void eraseLocked(Shard &shard,
+                     std::unordered_map<std::string, Entry>::iterator it);
     /**
      * Insert (or replace) under the shard lock, evicting LRU entries
-     * to fit. A replacement keeps the old entry's view when the new
+     * to fit the shard's byte budget and its share of the descriptor
+     * bound. A replacement keeps the old entry's view when the new
      * one has none, so a compile upgrade never drops a view.
      */
     void insertLocked(Shard &shard, const std::string &key,
@@ -226,7 +247,8 @@ class ProfileCache
      * (openView + compileView — one fewer full cell-list copy) and
      * falls back to the eager load for v1 text bases; with
      * serveFromViews the opened view is returned through `viewOut`
-     * for retention alongside the directory.
+     * for retention alongside the directory. A key the store does
+     * not hold yields NotFound; any other failure yields Failed.
      */
     CacheResult loadAndCompile(
         const std::string &key,
@@ -235,6 +257,8 @@ class ProfileCache
     const campaign::ProfileStore &store_;
     CacheConfig cfg_;
     size_t shardCapacity_;
+    /** Most view entries one shard keeps (see the file comment). */
+    size_t shardViews_;
     std::vector<std::unique_ptr<Shard>> shards_;
 
     /** Private registry: per-cache counts, isolated per instance. */

@@ -148,7 +148,9 @@ QueryEngine::answer(const Request &req)
     CacheResult cached = cache_.get(req.key);
     resp.source = cached.outcome;
     if (!cached.dir) {
-        resp.status = ResponseStatus::UnknownProfile;
+        resp.status = cached.outcome == CacheOutcome::Failed
+                          ? ResponseStatus::RetryLater
+                          : ResponseStatus::UnknownProfile;
         return resp;
     }
     const RefreshDirectory &dir = *cached.dir;
@@ -171,6 +173,7 @@ QueryEngine::deliver(const Response &resp, double latency_s,
             metrics_->recordHit();
             break;
         case CacheOutcome::Miss:
+        case CacheOutcome::Failed:
             metrics_->recordMiss();
             break;
         case CacheOutcome::NegativeHit:

@@ -71,6 +71,8 @@ enum class ResponseStatus
 {
     Ok,             ///< answered from a compiled directory
     UnknownProfile, ///< no profile stored under the key
+    RetryLater,     ///< profile stored but unreadable right now
+                    ///< (e.g. out of descriptors) — safe to retry
 };
 
 /** The answer to one request, keyed by the request id. */

@@ -4,9 +4,11 @@
  * loopback sockets: handshake and key advertisement, answer
  * correctness against in-process ground truth, the
  * every-request-gets-a-response guarantee under saturation
- * (backpressure -> Rejected, never a drop), protocol-error teardown,
- * graceful shutdown via the SIGTERM latch, and an N-clients hammer
- * that doubles as the TSan smoke (runs under `ctest -L sanitize`).
+ * (backpressure -> Rejected, never a drop), an unreadable stored
+ * profile answered Rejected rather than NotFound, protocol-error
+ * teardown, graceful shutdown via the SIGTERM latch, and an N-clients
+ * hammer that doubles as the TSan smoke (runs under
+ * `ctest -L sanitize`).
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <csignal>
 #include <sys/socket.h>
 #include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -239,6 +242,41 @@ TEST(NetServer, SaturationRejectsButAnswersEverything)
     EXPECT_EQ(stats.responsesOk + stats.responsesNotFound +
                   stats.responsesRejected,
               stats.requests);
+}
+
+// ---------------- Unreadable profiles are retryable ----------------
+
+// A profile the store holds but cannot read is not absent: the engine
+// answers RetryLater and the daemon sends it as Rejected, which a
+// client may retry, never as NotFound.
+TEST(NetServer, UnreadableProfileIsRejectedNotNotFound)
+{
+    Fixture fx("net_unreadable", 2);
+    for (const campaign::StoreEntry &e : fx.store.entries()) {
+        if (e.key != fx.keys[0])
+            continue;
+        std::ofstream os(fs::path(fx.store.dir()) / e.file,
+                         std::ios::binary | std::ios::trunc);
+        os << "not a profile\n";
+    }
+    auto client = Client::connect("127.0.0.1", fx.server->port());
+    ASSERT_TRUE(client.hasValue());
+    std::vector<serve::Request> reqs(4);
+    for (size_t i = 0; i < reqs.size(); ++i) {
+        reqs[i].id = i;
+        reqs[i].kind = serve::QueryKind::RefreshBin;
+        reqs[i].key = fx.keys[i % 2];
+        reqs[i].row = i;
+    }
+    std::vector<WireResponse> got = queryAll(client.value(), reqs);
+    ASSERT_EQ(got.size(), reqs.size());
+    for (const WireResponse &resp : got)
+        EXPECT_EQ(resp.status, resp.id % 2 == 0 ? WireStatus::Rejected
+                                                : WireStatus::Ok)
+            << "request " << resp.id;
+    ServerStats stats = fx.server->stats();
+    EXPECT_EQ(stats.responsesNotFound, 0u);
+    EXPECT_EQ(stats.responsesRejected, 2u);
 }
 
 // ---------------- Protocol errors tear down the conn ----------------

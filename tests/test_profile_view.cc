@@ -1,20 +1,25 @@
 /**
  * @file
- * Tests for profiling::ProfileView — the lazy, block-indexed, zero-
- * copy v2 read handle. Covers the laziness contract (point and range
- * queries decode at most one block, memoized), equivalence with the
- * eager reader, and the corruption story: exhaustive truncation and
- * bit-flip sweeps over the index + footer region must surface as
- * typed errors, never as a wrong answer.
+ * Tests for profiling::ProfileView — the lazy, block-indexed v2 read
+ * handle. Covers the laziness contract (point and range queries
+ * decode at most one block, memoized), equivalence with the eager
+ * reader, the corruption story — exhaustive truncation and bit-flip
+ * sweeps must surface as typed errors, never as a wrong answer, for a
+ * view over a buffer and for one that preads a file — and the
+ * lifetime rule that a view keeps reading the file it opened after a
+ * store renames a new one over its key.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <vector>
 
+#include "campaign/profile_store.h"
 #include "common/rng.h"
 #include "profiling/profile_binary.h"
 #include "profiling/profile_io.h"
@@ -64,6 +69,36 @@ writeTemp(const std::string &bytes, const char *name)
              static_cast<std::streamsize>(bytes.size()));
     EXPECT_TRUE(os.good());
     return path;
+}
+
+/** The two ways a view reads its bytes. */
+enum class Backing
+{
+    Buffer, ///< fromBuffer: an owned in-memory copy
+    File,   ///< open: pread from a descriptor the view holds
+};
+constexpr std::initializer_list<Backing> kBackings = {Backing::Buffer,
+                                                      Backing::File};
+
+const char *
+backingName(Backing b)
+{
+    return b == Backing::Buffer ? "fromBuffer" : "open";
+}
+
+/** A view over `bytes` through `backing`. The file is unlinked right
+ *  after open: the view keeps reading the inode it opened, and the
+ *  lengths and offsets it reads come from the (possibly hostile)
+ *  bytes themselves. */
+Expected<ProfileView>
+viewOf(Backing backing, std::string bytes)
+{
+    if (backing == Backing::Buffer)
+        return ProfileView::fromBuffer(std::move(bytes));
+    std::string path = writeTemp(bytes, "view_sweep.profile");
+    Expected<ProfileView> view = ProfileView::open(path);
+    std::remove(path.c_str());
+    return view;
 }
 
 TEST(ProfileView, OpenExposesHeaderAndIndexShape)
@@ -189,21 +224,24 @@ TEST(ProfileView, EveryTruncationIsDetected)
 {
     RetentionProfile p = randomProfile(5, 37);
     const std::string bytes = binaryOf(p);
-    for (size_t len = 0; len < bytes.size(); ++len) {
-        Expected<ProfileView> view =
-            ProfileView::fromBuffer(bytes.substr(0, len));
-        if (!view.hasValue()) {
-            EXPECT_TRUE(view.error().category ==
-                            ErrorCategory::Corrupt ||
-                        view.error().category == ErrorCategory::Parse)
-                << "prefix " << len << ": "
-                << toString(view.error().category);
-            continue;
+    for (Backing backing : kBackings) {
+        SCOPED_TRACE(backingName(backing));
+        for (size_t len = 0; len < bytes.size(); ++len) {
+            Expected<ProfileView> view =
+                viewOf(backing, bytes.substr(0, len));
+            if (!view.hasValue()) {
+                EXPECT_TRUE(view.error().category ==
+                                ErrorCategory::Corrupt ||
+                            view.error().category == ErrorCategory::Parse)
+                    << "prefix " << len << ": "
+                    << toString(view.error().category);
+                continue;
+            }
+            Expected<RetentionProfile> mat = view.value().materialize();
+            ASSERT_FALSE(mat.hasValue())
+                << "prefix of " << len << " bytes materialized";
+            EXPECT_EQ(mat.error().category, ErrorCategory::Corrupt);
         }
-        Expected<RetentionProfile> mat = view.value().materialize();
-        ASSERT_FALSE(mat.hasValue())
-            << "prefix of " << len << " bytes materialized";
-        EXPECT_EQ(mat.error().category, ErrorCategory::Corrupt);
     }
 }
 
@@ -219,26 +257,29 @@ TEST(ProfileView, EveryIndexAndFooterBitFlipIsDetectedAtOpen)
     const uint32_t blocks = 5; // ceil(37/8)
     size_t indexStart = bytes.size() - kBinaryFooterBytes -
                         indexSectionBytes(blocks);
-    for (size_t i = indexStart; i < bytes.size(); ++i) {
-        for (int bit = 0; bit < 8; ++bit) {
-            std::string mutated = bytes;
-            mutated[i] = static_cast<char>(
-                static_cast<uint8_t>(mutated[i]) ^ (1u << bit));
-            Expected<ProfileView> view =
-                ProfileView::fromBuffer(std::move(mutated));
-            if (!view.hasValue())
-                continue;
-            // Only the footer's trailing fileCrc word may survive an
-            // open, and materialize() must then reject it.
-            EXPECT_GE(i, bytes.size() - 4)
-                << "bit " << bit << " of byte " << i
-                << " flipped but the view opened";
-            Expected<RetentionProfile> mat =
-                view.value().materialize();
-            ASSERT_FALSE(mat.hasValue())
-                << "bit " << bit << " of byte " << i
-                << " flipped but materialize succeeded";
-            EXPECT_EQ(mat.error().category, ErrorCategory::Corrupt);
+    for (Backing backing : kBackings) {
+        SCOPED_TRACE(backingName(backing));
+        for (size_t i = indexStart; i < bytes.size(); ++i) {
+            for (int bit = 0; bit < 8; ++bit) {
+                std::string mutated = bytes;
+                mutated[i] = static_cast<char>(
+                    static_cast<uint8_t>(mutated[i]) ^ (1u << bit));
+                Expected<ProfileView> view =
+                    viewOf(backing, std::move(mutated));
+                if (!view.hasValue())
+                    continue;
+                // Only the footer's trailing fileCrc word may survive an
+                // open, and materialize() must then reject it.
+                EXPECT_GE(i, bytes.size() - 4)
+                    << "bit " << bit << " of byte " << i
+                    << " flipped but the view opened";
+                Expected<RetentionProfile> mat =
+                    view.value().materialize();
+                ASSERT_FALSE(mat.hasValue())
+                    << "bit " << bit << " of byte " << i
+                    << " flipped but materialize succeeded";
+                EXPECT_EQ(mat.error().category, ErrorCategory::Corrupt);
+            }
         }
     }
 }
@@ -252,31 +293,34 @@ TEST(ProfileView, BlockBitFlipsSurfaceLazilyAsCorrupt)
     const std::string bytes = binaryOf(p);
     size_t blocksEnd = bytes.size() - kBinaryFooterBytes -
                        indexSectionBytes(5);
-    for (size_t i = kBinaryHeaderBytes; i < blocksEnd; ++i) {
-        std::string mutated = bytes;
-        mutated[i] = static_cast<char>(
-            static_cast<uint8_t>(mutated[i]) ^ 0x10);
-        Expected<ProfileView> view =
-            ProfileView::fromBuffer(std::move(mutated));
-        if (!view.hasValue())
-            continue; // structural damage caught eagerly: fine
-        bool sawError = false;
-        for (const dram::ChipFailure &f : p.cells()) {
-            Expected<bool> hit = view.value().contains(f);
-            if (!hit.hasValue()) {
-                EXPECT_EQ(hit.error().category,
-                          ErrorCategory::Corrupt);
-                sawError = true;
-                break;
+    for (Backing backing : kBackings) {
+        SCOPED_TRACE(backingName(backing));
+        for (size_t i = kBinaryHeaderBytes; i < blocksEnd; ++i) {
+            std::string mutated = bytes;
+            mutated[i] = static_cast<char>(
+                static_cast<uint8_t>(mutated[i]) ^ 0x10);
+            Expected<ProfileView> view =
+                viewOf(backing, std::move(mutated));
+            if (!view.hasValue())
+                continue; // structural damage caught eagerly: fine
+            bool sawError = false;
+            for (const dram::ChipFailure &f : p.cells()) {
+                Expected<bool> hit = view.value().contains(f);
+                if (!hit.hasValue()) {
+                    EXPECT_EQ(hit.error().category,
+                              ErrorCategory::Corrupt);
+                    sawError = true;
+                    break;
+                }
+                EXPECT_TRUE(hit.value())
+                    << "flip at byte " << i << " gave a wrong answer";
             }
-            EXPECT_TRUE(hit.value())
-                << "flip at byte " << i << " gave a wrong answer";
+            EXPECT_TRUE(sawError)
+                << "flip at byte " << i << " was never detected";
+            Expected<RetentionProfile> mat = view.value().materialize();
+            EXPECT_FALSE(mat.hasValue())
+                << "flip at byte " << i << " materialized";
         }
-        EXPECT_TRUE(sawError)
-            << "flip at byte " << i << " was never detected";
-        Expected<RetentionProfile> mat = view.value().materialize();
-        EXPECT_FALSE(mat.hasValue())
-            << "flip at byte " << i << " materialized";
     }
 }
 
@@ -292,6 +336,84 @@ TEST(ProfileView, EmptyProfileViewAnswersWithoutDecoding)
         view.value().anyInRange({0, 0}, {9, 9}).value());
     EXPECT_EQ(view.value().blocksDecoded(), 0u);
     EXPECT_TRUE(view.value().materialize().value().empty());
+}
+
+/** Expect `view` to answer exactly `want`: every cell of it present,
+ *  every cell of `other` that `want` lacks absent. */
+void
+expectAnswers(const ProfileView &view, const RetentionProfile &want,
+              const RetentionProfile &other)
+{
+    for (const dram::ChipFailure &f : want.cells()) {
+        Expected<bool> hit = view.contains(f);
+        ASSERT_TRUE(hit.hasValue()) << hit.error().describe();
+        ASSERT_TRUE(hit.value());
+    }
+    for (const dram::ChipFailure &f : other.cells()) {
+        Expected<bool> hit = view.contains(f);
+        ASSERT_TRUE(hit.hasValue()) << hit.error().describe();
+        ASSERT_EQ(hit.value(), want.contains(f));
+    }
+}
+
+/** `p` with every 50th cell moved: a VRT-style drift of 2%. */
+RetentionProfile
+drifted(const RetentionProfile &p, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<dram::ChipFailure> cells = p.cells();
+    for (size_t i = 0; i < cells.size(); i += 50)
+        cells[i].addr = rng.uniformInt(1ull << 40);
+    RetentionProfile out(p.conditions());
+    out.add(cells);
+    return out;
+}
+
+// A view reads the inode it opened. ProfileStore::commit renames a
+// new file over the key and compaction renames the compacted chain
+// over the base, yet an open view keeps answering every cell of the
+// profile it opened — including from blocks it first decodes after
+// the rename.
+TEST(ProfileView, OpenViewKeepsItsProfileAcrossCommitAndCompaction)
+{
+    namespace fs = std::filesystem;
+    fs::path dir = fs::path(::testing::TempDir()) / "reaper_view_rename";
+    fs::remove_all(dir);
+    campaign::ProfileStore store(dir.string());
+    const std::string key =
+        campaign::ProfileStore::profileKey("chip-0", {1.024, 45.0});
+
+    // Five default-size blocks; the view decodes only the first
+    // before the rename.
+    RetentionProfile first = randomProfile(11, 5000);
+    store.commit(key, first);
+    Expected<ProfileView> old = store.openView(key);
+    ASSERT_TRUE(old.hasValue()) << old.error().describe();
+    ASSERT_EQ(old.value().blockCount(), 5u);
+    EXPECT_TRUE(old.value().contains(first.cells().front()).value());
+    EXPECT_EQ(old.value().blocksDecoded(), 1u);
+
+    RetentionProfile second = randomProfile(12, 5000);
+    store.commit(key, second);
+    expectAnswers(old.value(), first, second);
+    EXPECT_EQ(old.value().blocksDecoded(), 5u);
+
+    Expected<ProfileView> mid = store.openView(key);
+    ASSERT_TRUE(mid.hasValue()) << mid.error().describe();
+    EXPECT_TRUE(mid.value().contains(second.cells().back()).value());
+    EXPECT_EQ(mid.value().blocksDecoded(), 1u);
+
+    RetentionProfile third = drifted(second, 13);
+    store.commitDelta(key, third);
+    ASSERT_EQ(store.entries().at(0).deltas, 1u);
+    Expected<ProfileView> compacted = store.openView(key);
+    ASSERT_TRUE(compacted.hasValue())
+        << compacted.error().describe();
+    ASSERT_EQ(store.entries().at(0).deltas, 0u);
+    expectAnswers(mid.value(), second, third);
+    expectAnswers(compacted.value(), third, second);
+    expectAnswers(old.value(), first, third);
+    fs::remove_all(dir);
 }
 
 // The streaming reader cross-checks the index against the blocks it

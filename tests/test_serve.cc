@@ -11,11 +11,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <condition_variable>
 #include <filesystem>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include "campaign/profile_store.h"
 #include "common/rng.h"
@@ -455,6 +460,139 @@ TEST(QueryEngine, GracefulDrainLosesNoAcceptedRequest)
               QueryEngine::Submit::Stopped);
     // Idempotent.
     engine.drain();
+}
+
+// ---------------- Descriptors ----------------
+
+/**
+ * Lowers this process's soft RLIMIT_NOFILE for the object's lifetime;
+ * exhaust() also fills every free descriptor slot below it, so the
+ * next open() fails with EMFILE. The destructor closes the fillers
+ * and restores the limit.
+ */
+class SoftFdLimit
+{
+  public:
+    explicit SoftFdLimit(rlim_t soft)
+    {
+        EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved_), 0);
+        rlimit low = saved_;
+        low.rlim_cur = std::min(soft, saved_.rlim_cur);
+        EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+    }
+    SoftFdLimit(const SoftFdLimit &) = delete;
+    SoftFdLimit &operator=(const SoftFdLimit &) = delete;
+    ~SoftFdLimit() { restore(); }
+
+    /** Open /dev/null until the table is full; returns that errno. */
+    int exhaust()
+    {
+        for (;;) {
+            int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+            if (fd < 0)
+                return errno;
+            fillers_.push_back(fd);
+        }
+    }
+
+    void restore()
+    {
+        for (int fd : fillers_)
+            ::close(fd);
+        fillers_.clear();
+        ::setrlimit(RLIMIT_NOFILE, &saved_);
+    }
+
+  private:
+    rlimit saved_{};
+    std::vector<int> fillers_;
+};
+
+/** Entries in /proc/self/fd (the iterator's own descriptor included,
+ *  so counts taken the same way compare). */
+size_t
+openDescriptors()
+{
+    size_t n = 0;
+    for ([[maybe_unused]] const auto &entry :
+         fs::directory_iterator("/proc/self/fd"))
+        ++n;
+    return n;
+}
+
+// A stored profile that cannot be opened (here: the process is out of
+// descriptors) is not an unknown profile. The engine answers
+// RetryLater (the wire's Rejected), nothing is negatively cached, and
+// once descriptors are back the same key answers Ok without
+// invalidate().
+TEST(QueryEngine, UnreadableProfileIsRetriedNotCachedAsUnknown)
+{
+    campaign::ProfileStore store(scratchDir("engine_emfile"));
+    auto keys = populateStore(store, 1);
+    Request req;
+    req.kind = QueryKind::IsRowWeak;
+    req.key = keys[0];
+    for (bool views : {false, true}) {
+        SCOPED_TRACE(views ? "views" : "directories");
+        CacheConfig cfg = testCacheConfig();
+        cfg.serveFromViews = views;
+        ProfileCache cache(store, cfg);
+        auto answerOnce = [&] {
+            QueryEngine engine(cache, engineConfig(1));
+            EXPECT_EQ(engine.trySubmit(req),
+                      QueryEngine::Submit::Accepted);
+            engine.drain();
+            std::vector<Response> out = engine.takeResponses();
+            EXPECT_EQ(out.size(), 1u);
+            return out.empty() ? Response{} : out[0];
+        };
+
+        Response starved;
+        {
+            SoftFdLimit limit(32);
+            ASSERT_EQ(limit.exhaust(), EMFILE);
+            starved = answerOnce();
+        }
+        EXPECT_NE(starved.status, ResponseStatus::UnknownProfile);
+        EXPECT_EQ(starved.status, ResponseStatus::RetryLater);
+        EXPECT_EQ(starved.source, CacheOutcome::Failed);
+
+        Response again = answerOnce();
+        EXPECT_EQ(again.status, ResponseStatus::Ok);
+        EXPECT_EQ(again.source, CacheOutcome::Miss);
+        EXPECT_EQ(cache.counters().negativeHits, 0u);
+    }
+}
+
+// Every view the cache keeps holds a descriptor. With the soft limit
+// at 64, lookups across 256 keys must all be answered, the process
+// must stay under the limit throughout, and destroying the cache must
+// give every descriptor back.
+TEST(ProfileCache, ViewDescriptorsStayUnderTheSoftLimit)
+{
+    campaign::ProfileStore store(scratchDir("cache_fd_bound"));
+    auto keys = populateStore(store, 256, 50);
+    CacheConfig cfg = testCacheConfig();
+    cfg.serveFromViews = true;
+
+    SoftFdLimit limit(64);
+    const size_t before = openDescriptors();
+    {
+        ProfileCache cache(store, cfg); // reads the lowered limit
+        for (int round = 0; round < 2; ++round) {
+            for (size_t k = 0; k < keys.size(); ++k) {
+                ViewAnswer a = cache.isRowWeakView(keys[k], 0, k);
+                ASSERT_EQ(a.state, ViewState::Answered)
+                    << "round " << round << " key " << keys[k];
+                ASSERT_LT(openDescriptors(), 64u)
+                    << "round " << round << " key " << keys[k];
+            }
+        }
+        EXPECT_GT(cache.counters().evictions, 0u);
+        EXPECT_LE(cache.counters().entries, 32u);
+    }
+    EXPECT_EQ(openDescriptors(), before)
+        << "a destroyed cache left descriptors open";
 }
 
 // ---------------- Metrics ----------------
