@@ -250,8 +250,9 @@ main()
         if (!written)
             fatal("bench_io: %s", written.error().describe().c_str());
 
-        // Cold: a fresh mmap-backed open plus ONE point lookup —
-        // the serve path's first query against an unseen profile.
+        // Cold: a fresh open (header, footer and index preads) plus
+        // ONE point lookup, which preads one block — the serve path's
+        // first query against an unseen profile.
         const int samples = bench::scaled(64, 16);
         double cold = 1e30;
         double blocksDecoded = 0.0;

@@ -4,7 +4,9 @@
  * sparse-device read path, profiler iterations, the SECDED codec, the
  * memory-controller tick loop, cache accesses, trace generation, the
  * RNG/statistics primitives that everything sits on, the serve
- * hot paths (directory point lookup, cache hit, cache miss+compile),
+ * hot paths (directory point lookup, cache hit, cache miss+compile,
+ * cold view lookups over a store four times the cache at 1, 2 and 4
+ * threads),
  * and the src/simd/ micro-kernels (CRC32C, bulk varint decode, word
  * fill/compare/scan) with their scalar twins side by side so the
  * dispatch win is visible per kernel.
@@ -296,6 +298,84 @@ BM_ServeCacheMissCompile(benchmark::State &state)
     fs::remove_all(dir);
 }
 BENCHMARK(BM_ServeCacheMissCompile);
+
+/** 256 keys × 20K cells, built once and shared by every thread count
+ *  of BM_ServeCacheColdViewMiss; removed at exit. */
+struct ColdViewStore
+{
+    std::filesystem::path dir;
+    std::unique_ptr<campaign::ProfileStore> store;
+    std::vector<std::string> keys;
+
+    ColdViewStore()
+        : dir(std::filesystem::temp_directory_path() /
+              "reaper_micro_serve_cold")
+    {
+        std::filesystem::remove_all(dir);
+        store = std::make_unique<campaign::ProfileStore>(dir.string());
+        for (int i = 0; i < 256; ++i) {
+            keys.push_back(campaign::ProfileStore::profileKey(
+                "micro-cold-" + std::to_string(i), {1.024, 45.0}));
+            store->commit(keys.back(), serveProfile(500 + i, 20000));
+        }
+    }
+    ~ColdViewStore()
+    {
+        store.reset();
+        std::filesystem::remove_all(dir);
+    }
+};
+
+serve::CacheConfig
+coldViewConfig(size_t capacityBytes)
+{
+    serve::CacheConfig cc;
+    cc.capacityBytes = capacityBytes;
+    cc.directory.rowBits = kServeRowBits;
+    cc.serveFromViews = true;
+    return cc;
+}
+
+// The cold-miss layer of serve_churn: uniform point lookups through
+// ProfileCache::isRowWeakView with the cache at a quarter of the
+// working set, so about three lookups in four open a view and evict
+// one. items/s is the lookup rate summed over the threads.
+void
+BM_ServeCacheColdViewMiss(benchmark::State &state)
+{
+    static ColdViewStore cold;
+    static std::unique_ptr<serve::ProfileCache> cache;
+    if (state.thread_index() == 0) {
+        // The working set as a cache big enough for every key holds
+        // it; the benchmarked cache gets a quarter of that.
+        serve::ProfileCache probe(*cold.store,
+                                  coldViewConfig(64ull << 20));
+        for (const std::string &key : cold.keys)
+            probe.isRowWeakView(key, 0, 0);
+        cache = std::make_unique<serve::ProfileCache>(
+            *cold.store, coldViewConfig(probe.counters().bytes / 4));
+    }
+    Rng rng(41 + static_cast<uint64_t>(state.thread_index()));
+    for (auto _ : state) {
+        const std::string &key =
+            cold.keys[rng.uniformInt(cold.keys.size())];
+        benchmark::DoNotOptimize(
+            cache->isRowWeakView(key, 0, rng.uniformInt(kServeRows)));
+    }
+    state.SetItemsProcessed(state.iterations());
+    if (state.thread_index() == 0) {
+        serve::CacheCounters c = cache->counters();
+        state.counters["view_open_share"] =
+            static_cast<double>(c.viewLoads) /
+            static_cast<double>(c.viewLoads + c.viewHits);
+        cache.reset();
+    }
+}
+BENCHMARK(BM_ServeCacheColdViewMiss)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
+    ->UseRealTime();
 
 // ---- simd micro-kernels (scalar twin vs dispatched) ----
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verification plus the thread-sanitized smoke
-# suite and the address-sanitized simulator and DRAM-model tests.
+# suite and the address-sanitized simulator, DRAM-model and profile
+# I/O tests.
 # Mirrors what a contributor runs locally (see ROADMAP.md):
 #
 #   scripts/ci.sh            # tier-1 + bench smoke + tsan + asan
@@ -232,5 +233,12 @@ cmake --build build-asan -j "$jobs" \
 
 echo "=== sanitize: ctest -L dram (DRAM chip model under ASan) ==="
 (cd build-asan && ctest -L dram --output-on-failure -j "$jobs")
+
+cmake --build build-asan -j "$jobs" \
+    --target test_profile_view test_profile_binary test_profile_delta \
+             test_serve
+
+echo "=== sanitize: ctest -L io (profile views and cache under ASan) ==="
+(cd build-asan && ctest -L io --output-on-failure -j "$jobs")
 
 echo "=== ci.sh: all suites passed ==="
