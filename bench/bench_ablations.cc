@@ -20,6 +20,23 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/table.h"
+#include "common/units.h"
+#include "dram/data_pattern.h"
+#include "dram/device.h"
+#include "dram/module.h"
+#include "dram/retention_model.h"
+#include "dram/vendor_model.h"
+#include "eval/fleet.h"
+#include "profiling/brute_force.h"
+#include "profiling/profile.h"
+#include "profiling/profiler.h"
+#include "profiling/reach.h"
+#include "sim/memctrl.h"
+#include "sim/system.h"
+#include "sim/timing.h"
+#include "testbed/softmc_host.h"
+#include "workload/synthetic.h"
 
 using namespace reaper;
 

@@ -25,6 +25,9 @@
 #include <sstream>
 
 #include "bench_util.h"
+#include "campaign/campaign.h"
+#include "common/table.h"
+#include "common/units.h"
 
 namespace fs = std::filesystem;
 using namespace reaper;

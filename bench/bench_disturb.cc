@@ -29,6 +29,15 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/table.h"
+#include "common/units.h"
+#include "disturb/rowhammer_profiler.h"
+#include "dram/disturb_model.h"
+#include "dram/geometry.h"
+#include "dram/module.h"
+#include "dram/vendor_model.h"
+#include "eval/fleet.h"
+#include "testbed/softmc_host.h"
 
 using namespace reaper;
 

@@ -15,6 +15,19 @@
 #include <iostream>
 
 #include "bench_util.h"
+#include "common/table.h"
+#include "common/units.h"
+#include "dram/data_pattern.h"
+#include "dram/module.h"
+#include "dram/vendor_model.h"
+#include "ecc/uber.h"
+#include "mitigation/archshield.h"
+#include "mitigation/avatar.h"
+#include "mitigation/mitigation.h"
+#include "profiling/brute_force.h"
+#include "profiling/profile.h"
+#include "reaper/firmware.h"
+#include "testbed/softmc_host.h"
 
 using namespace reaper;
 

@@ -10,6 +10,9 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/table.h"
+#include "common/units.h"
+#include "eval/overhead.h"
 
 using namespace reaper;
 

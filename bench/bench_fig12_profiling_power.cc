@@ -14,6 +14,9 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/table.h"
+#include "common/units.h"
+#include "power/drampower.h"
 
 using namespace reaper;
 

@@ -14,6 +14,10 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stats.h"
+#include "common/table.h"
+#include "eval/endtoend.h"
+#include "eval/overhead.h"
 
 using namespace reaper;
 

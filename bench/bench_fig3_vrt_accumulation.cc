@@ -20,6 +20,15 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stats.h"
+#include "common/table.h"
+#include "common/units.h"
+#include "dram/module.h"
+#include "dram/vendor_model.h"
+#include "eval/fleet.h"
+#include "profiling/brute_force.h"
+#include "profiling/profiler.h"
+#include "testbed/softmc_host.h"
 
 using namespace reaper;
 

@@ -17,6 +17,18 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/fit.h"
+#include "common/math_util.h"
+#include "common/table.h"
+#include "common/units.h"
+#include "dram/data_pattern.h"
+#include "dram/module.h"
+#include "dram/retention_model.h"
+#include "dram/vendor_model.h"
+#include "eval/fleet.h"
+#include "profiling/brute_force.h"
+#include "profiling/profiler.h"
+#include "testbed/softmc_host.h"
 
 using namespace reaper;
 

@@ -22,6 +22,13 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/table.h"
+#include "common/units.h"
+#include "dram/data_pattern.h"
+#include "dram/module.h"
+#include "dram/vendor_model.h"
+#include "eval/fleet.h"
+#include "testbed/softmc_host.h"
 
 using namespace reaper;
 

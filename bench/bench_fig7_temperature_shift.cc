@@ -18,6 +18,16 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/fit.h"
+#include "common/stats.h"
+#include "common/table.h"
+#include "common/units.h"
+#include "dram/data_pattern.h"
+#include "dram/module.h"
+#include "dram/retention_model.h"
+#include "dram/vendor_model.h"
+#include "eval/fleet.h"
+#include "testbed/softmc_host.h"
 
 using namespace reaper;
 

@@ -15,6 +15,13 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/rng.h"
+#include "common/stats.h"
+#include "common/table.h"
+#include "common/units.h"
+#include "dram/retention_model.h"
+#include "dram/vendor_model.h"
+#include "eval/fleet.h"
 
 using namespace reaper;
 

@@ -13,6 +13,14 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/table.h"
+#include "dram/module.h"
+#include "dram/vendor_model.h"
+#include "eval/fleet.h"
+#include "profiling/brute_force.h"
+#include "profiling/profile.h"
+#include "profiling/profiler.h"
+#include "testbed/softmc_host.h"
 
 using namespace reaper;
 

@@ -33,6 +33,16 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "campaign/profile_store.h"
+#include "common/expected.h"
+#include "common/rng.h"
+#include "common/table.h"
+#include "dram/module.h"
+#include "profiling/profile.h"
+#include "profiling/profile_binary.h"
+#include "profiling/profile_io.h"
+#include "profiling/profile_view.h"
+#include "serve/profile_cache.h"
 #include "simd/dispatch.h"
 
 namespace fs = std::filesystem;

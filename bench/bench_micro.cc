@@ -16,11 +16,30 @@
 
 #include <filesystem>
 
-#include "reaper/reaper.h"
+#include "campaign/profile_store.h"
+#include "common/math_util.h"
+#include "common/rng.h"
+#include "dram/data_pattern.h"
+#include "dram/device.h"
+#include "dram/module.h"
+#include "ecc/hamming.h"
+#include "ecc/uber.h"
+#include "obs/obs.h"
+#include "profiling/brute_force.h"
+#include "profiling/profile.h"
+#include "serve/profile_cache.h"
+#include "serve/refresh_directory.h"
+#include "sim/cache.h"
+#include "sim/memctrl.h"
+#include "sim/request.h"
+#include "sim/system.h"
+#include "sim/timing.h"
 #include "simd/crc32c.h"
 #include "simd/dispatch.h"
 #include "simd/varint.h"
 #include "simd/words.h"
+#include "testbed/softmc_host.h"
+#include "workload/synthetic.h"
 
 using namespace reaper;
 

@@ -19,6 +19,16 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/rng.h"
+#include "common/table.h"
+#include "dram/data_pattern.h"
+#include "dram/module.h"
+#include "dram/vendor_model.h"
+#include "eval/fleet.h"
+#include "profiling/brute_force.h"
+#include "profiling/profile.h"
+#include "profiling/profiler.h"
+#include "testbed/softmc_host.h"
 
 using namespace reaper;
 

@@ -11,6 +11,16 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stats.h"
+#include "common/table.h"
+#include "dram/module.h"
+#include "dram/vendor_model.h"
+#include "eval/fleet.h"
+#include "profiling/brute_force.h"
+#include "profiling/profile.h"
+#include "profiling/profiler.h"
+#include "profiling/reach.h"
+#include "testbed/softmc_host.h"
 
 using namespace reaper;
 

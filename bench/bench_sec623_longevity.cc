@@ -10,6 +10,12 @@
 #include <iostream>
 
 #include "bench_util.h"
+#include "common/table.h"
+#include "dram/retention_model.h"
+#include "dram/vendor_model.h"
+#include "ecc/longevity.h"
+#include "ecc/uber.h"
+#include "eval/fleet.h"
 
 using namespace reaper;
 

@@ -10,6 +10,16 @@
 #include <iostream>
 
 #include "bench_util.h"
+#include "common/stats.h"
+#include "common/table.h"
+#include "dram/module.h"
+#include "dram/vendor_model.h"
+#include "eval/endtoend.h"
+#include "eval/overhead.h"
+#include "mitigation/archshield.h"
+#include "profiling/profiler.h"
+#include "profiling/reach.h"
+#include "testbed/softmc_host.h"
 
 using namespace reaper;
 

@@ -21,6 +21,18 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "campaign/profile_store.h"
+#include "common/rng.h"
+#include "common/table.h"
+#include "dram/module.h"
+#include "net/loadgen.h"
+#include "net/server.h"
+#include "obs/obs.h"
+#include "profiling/profile.h"
+#include "serve/metrics.h"
+#include "serve/profile_cache.h"
+#include "serve/query_engine.h"
+#include "serve/workload.h"
 
 namespace fs = std::filesystem;
 

@@ -13,6 +13,9 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/table.h"
+#include "common/units.h"
+#include "ecc/uber.h"
 
 using namespace reaper;
 

@@ -22,7 +22,11 @@
 #include <iostream>
 #include <string>
 
-#include "reaper/reaper.h"
+#include "dram/module.h"
+#include "dram/retention_model.h"
+#include "dram/vendor_model.h"
+#include "eval/fleet.h"
+#include "testbed/softmc_host.h"
 
 namespace reaper {
 namespace bench {

@@ -40,7 +40,15 @@
 #include <iostream>
 #include <string>
 
-#include "reaper/reaper.h"
+#include "campaign/campaign.h"
+#include "campaign/error.h"
+#include "campaign/profile_store.h"
+#include "common/table.h"
+#include "common/units.h"
+#include "disturb/rowhammer_profiler.h"
+#include "obs/obs.h"
+#include "profiling/profile_binary.h"
+#include "profiling/profiler.h"
 
 using namespace reaper;
 

@@ -12,7 +12,14 @@
 
 #include <iostream>
 
-#include "reaper/reaper.h"
+#include "common/table.h"
+#include "common/units.h"
+#include "dram/module.h"
+#include "ecc/uber.h"
+#include "mitigation/archshield.h"
+#include "mitigation/mitigation.h"
+#include "reaper/firmware.h"
+#include "testbed/softmc_host.h"
 
 using namespace reaper;
 

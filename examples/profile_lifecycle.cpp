@@ -15,7 +15,20 @@
 
 #include <iostream>
 
-#include "reaper/reaper.h"
+#include "campaign/profile_store.h"
+#include "common/table.h"
+#include "common/units.h"
+#include "dram/module.h"
+#include "dram/retention_model.h"
+#include "ecc/longevity.h"
+#include "ecc/uber.h"
+#include "mitigation/archshield.h"
+#include "profiling/profile.h"
+#include "profiling/profile_io.h"
+#include "profiling/profile_view.h"
+#include "profiling/profiler.h"
+#include "profiling/reach.h"
+#include "testbed/softmc_host.h"
 
 using namespace reaper;
 

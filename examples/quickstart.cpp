@@ -12,7 +12,14 @@
 
 #include <iostream>
 
-#include "reaper/reaper.h"
+#include "common/table.h"
+#include "dram/module.h"
+#include "dram/vendor_model.h"
+#include "profiling/brute_force.h"
+#include "profiling/profile.h"
+#include "profiling/profiler.h"
+#include "profiling/reach.h"
+#include "testbed/softmc_host.h"
 
 using namespace reaper;
 

@@ -67,7 +67,18 @@
 
 #include <sys/resource.h>
 
-#include "reaper/reaper.h"
+#include "campaign/profile_store.h"
+#include "common/expected.h"
+#include "common/rng.h"
+#include "dram/module.h"
+#include "net/server.h"
+#include "obs/obs.h"
+#include "profiling/profile.h"
+#include "profiling/profile_binary.h"
+#include "serve/metrics.h"
+#include "serve/profile_cache.h"
+#include "serve/query_engine.h"
+#include "serve/workload.h"
 
 using namespace reaper;
 

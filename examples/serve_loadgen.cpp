@@ -31,7 +31,7 @@
 #include <sstream>
 #include <string>
 
-#include "reaper/reaper.h"
+#include "net/loadgen.h"
 
 using namespace reaper;
 

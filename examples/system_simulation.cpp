@@ -13,7 +13,11 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "reaper/reaper.h"
+#include "common/table.h"
+#include "common/units.h"
+#include "power/drampower.h"
+#include "sim/system.h"
+#include "workload/synthetic.h"
 
 using namespace reaper;
 

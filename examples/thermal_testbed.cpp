@@ -11,7 +11,12 @@
 
 #include <iostream>
 
-#include "reaper/reaper.h"
+#include "common/table.h"
+#include "dram/data_pattern.h"
+#include "dram/module.h"
+#include "profiling/profiler.h"
+#include "profiling/reach.h"
+#include "testbed/softmc_host.h"
 
 using namespace reaper;
 

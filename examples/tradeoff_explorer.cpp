@@ -13,7 +13,14 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "reaper/reaper.h"
+#include "common/table.h"
+#include "common/units.h"
+#include "dram/module.h"
+#include "profiling/brute_force.h"
+#include "profiling/profile.h"
+#include "profiling/profiler.h"
+#include "profiling/reach.h"
+#include "testbed/softmc_host.h"
 
 using namespace reaper;
 

@@ -72,33 +72,6 @@ powerLawFit(const std::vector<double> &x, const std::vector<double> &y)
     return fit;
 }
 
-double
-ExponentialFit::eval(double x) const
-{
-    return a * std::exp(b * x);
-}
-
-ExponentialFit
-exponentialFit(const std::vector<double> &x, const std::vector<double> &y)
-{
-    std::vector<double> xs, ly;
-    for (size_t i = 0; i < x.size() && i < y.size(); ++i) {
-        if (y[i] > 0) {
-            xs.push_back(x[i]);
-            ly.push_back(std::log(y[i]));
-        }
-    }
-    if (xs.size() < 2)
-        panic("exponentialFit: need >= 2 positive-y points, got %zu",
-              xs.size());
-    LinearFit lin = linearFit(xs, ly);
-    ExponentialFit fit;
-    fit.a = std::exp(lin.intercept);
-    fit.b = lin.slope;
-    fit.r2 = lin.r2;
-    return fit;
-}
-
 NormalCdfFit
 normalCdfFit(const std::vector<double> &x, const std::vector<double> &p,
              int trials)

@@ -38,19 +38,6 @@ struct PowerLawFit
 PowerLawFit powerLawFit(const std::vector<double> &x,
                         const std::vector<double> &y);
 
-/** Exponential fit y = a * exp(b * x) (semi-log least squares; y > 0). */
-struct ExponentialFit
-{
-    double a = 0.0;
-    double b = 0.0;
-    double r2 = 0.0;
-
-    double eval(double x) const;
-};
-
-ExponentialFit exponentialFit(const std::vector<double> &x,
-                              const std::vector<double> &y);
-
 /**
  * Fit a normal CDF to observed (x, probability) pairs by probit
  * regression: probit(p) = (x - mu) / sigma. Probabilities at exactly 0/1

@@ -104,7 +104,7 @@ class RowHammerProfiler : public Profiler
 
 /**
  * Idempotently register "rowhammer" in the profiler factory. Including
- * this header (directly or via reaper/reaper.h) is enough: the inline
+ * this header is enough: the inline
  * variable below runs the registration during static initialization of
  * every including translation unit, which also keeps the linker from
  * dropping this library's objects from static-archive links.

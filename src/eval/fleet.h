@@ -6,7 +6,7 @@
  * many (pattern, tREFI, temperature) rounds, where every chip is fully
  * independent (Sections 4-5). runFleet() batches such independent tasks
  * across worker threads the way SoftMC-style infrastructures batch
- * across modules, with three guarantees the plain parallelFor lacks:
+ * across modules, with three guarantees a plain thread pool lacks:
  *
  *  1. **Ordered result collection.** Task i's return value lands at
  *     index i of the result vector regardless of which worker ran it or
@@ -103,8 +103,8 @@ std::vector<R>
 runFleet(size_t n, Fn fn, FleetOptions opt = {})
 {
     static_assert(!std::is_void_v<R>,
-                  "runFleet tasks must return a value; use parallelFor "
-                  "for side-effect-only loops");
+                  "runFleet tasks must return a value (a placeholder "
+                  "will do for side-effect-only loops)");
     std::vector<std::optional<R>> slots(n);
     if (n == 0)
         return {};

@@ -78,19 +78,6 @@ TEST(PowerLawFit, IgnoresNonPositivePoints)
     EXPECT_NEAR(f.b, 1.0, 1e-9);
 }
 
-TEST(ExponentialFit, RecoversParameters)
-{
-    // The Eq. 1 use case: failure rate ~ exp(k dT).
-    std::vector<double> x, y;
-    for (double t : {40.0, 45.0, 50.0, 55.0}) {
-        x.push_back(t);
-        y.push_back(3.0 * std::exp(0.22 * t));
-    }
-    ExponentialFit f = exponentialFit(x, y);
-    EXPECT_NEAR(f.b, 0.22, 1e-9);
-    EXPECT_NEAR(f.a, 3.0, 1e-6);
-}
-
 TEST(NormalCdfFit, RecoversMuSigma)
 {
     // The Fig. 6a use case: fit a per-cell failure CDF.

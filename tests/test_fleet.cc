@@ -3,7 +3,7 @@
  * Tests for the fleet execution engine: ordered result collection,
  * bit-identical results across worker counts (including a fig9-style
  * coverage/FPR evaluation), per-task seed derivation, and exception
- * propagation (for runFleet and the underlying parallelFor).
+ * propagation.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +14,14 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/parallel.h"
-#include "reaper/reaper.h"
+#include "dram/device.h"
+#include "dram/module.h"
+#include "dram/vendor_model.h"
+#include "eval/fleet.h"
+#include "profiling/brute_force.h"
+#include "profiling/profile.h"
+#include "profiling/profiler.h"
+#include "testbed/softmc_host.h"
 
 namespace reaper {
 namespace eval {
@@ -76,25 +82,6 @@ TEST(RunFleet, PropagatesTaskExceptions)
                 FleetOptions{threads}),
             std::runtime_error);
     }
-}
-
-TEST(ParallelFor, PropagatesTaskExceptions)
-{
-    EXPECT_THROW(parallelFor(
-                     64,
-                     [](size_t i) {
-                         if (i == 7)
-                             throw std::runtime_error("worker died");
-                     },
-                     4),
-                 std::runtime_error);
-}
-
-TEST(ParallelFor, StillRunsAllWhenNoException)
-{
-    std::atomic<size_t> sum{0};
-    parallelFor(100, [&](size_t i) { sum.fetch_add(i); }, 4);
-    EXPECT_EQ(sum.load(), 4950u);
 }
 
 TEST(FleetSeed, StableAndDistinctPerTask)

@@ -1,14 +1,13 @@
 /**
  * @file
  * Tests for the mitigation mechanisms REAPER enables: ArchShield-like
- * FaultMap remapping, RAIDR-like multi-rate refresh, and row map-out.
+ * FaultMap remapping and RAIDR-like multi-rate refresh.
  */
 
 #include <gtest/gtest.h>
 
 #include "mitigation/archshield.h"
 #include "mitigation/raidr.h"
-#include "mitigation/rowmap.h"
 
 namespace reaper {
 namespace mitigation {
@@ -169,63 +168,6 @@ TEST(Raidr, ConfigValidation)
     EXPECT_DEATH(Raidr r(cfg), "two bins");
     cfg.binIntervals = {1.0, 0.5};
     EXPECT_DEATH(Raidr r(cfg), "sorted");
-}
-
-// ---------------- RowMapOut ----------------
-
-RowMapConfig
-rowMapConfig(uint64_t rows = 1000)
-{
-    RowMapConfig cfg;
-    cfg.totalRows = rows;
-    return cfg;
-}
-
-TEST(RowMapOut, MapsWholeRows)
-{
-    RowMapOut rm(rowMapConfig());
-    rm.applyProfile(profileOf({{0, 5}}));
-    EXPECT_TRUE(rm.covers({0, 0}));
-    EXPECT_TRUE(rm.covers({0, kRowBits - 1}));
-    EXPECT_FALSE(rm.covers({0, kRowBits}));
-    EXPECT_EQ(rm.mappedRows(), 1u);
-    EXPECT_DOUBLE_EQ(rm.capacityLoss(), 0.001);
-}
-
-TEST(RowMapOut, BudgetEnforced)
-{
-    RowMapConfig cfg = rowMapConfig(1000);
-    cfg.maxMappedFraction = 0.002; // 2 rows
-    RowMapOut rm(cfg);
-    rm.applyProfile(profileOf({{0, 0}, {0, kRowBits}, {0, 2 * kRowBits}}));
-    EXPECT_TRUE(rm.budgetExceeded());
-    rm.applyProfile(profileOf({{0, 0}}));
-    EXPECT_FALSE(rm.budgetExceeded());
-}
-
-TEST(RowMapOut, StatsReflectCapacityLoss)
-{
-    RowMapOut rm(rowMapConfig(100));
-    rm.applyProfile(profileOf({{0, 0}, {0, kRowBits}}));
-    MitigationStats s = rm.stats();
-    EXPECT_EQ(s.protectedRows, 2u);
-    EXPECT_DOUBLE_EQ(s.capacityOverhead, 0.02);
-    EXPECT_DOUBLE_EQ(s.refreshWorkRelative, 0.98);
-}
-
-TEST(RowMapOut, FalsePositivesInflateCapacityLoss)
-{
-    // The paper's point: mechanisms that discard rows are the most
-    // sensitive to false positives.
-    RowMapOut rm(rowMapConfig(1000));
-    std::vector<ChipFailure> true_fails = {{0, 0}};
-    std::vector<ChipFailure> with_fps = {{0, 0},
-                                         {0, kRowBits * 10},
-                                         {0, kRowBits * 20}};
-    rm.applyProfile(profileOf(true_fails));
-    double loss_clean = rm.capacityLoss();
-    rm.applyProfile(profileOf(with_fps));
-    EXPECT_NEAR(rm.capacityLoss(), 3.0 * loss_clean, 1e-9);
 }
 
 } // namespace

@@ -7,17 +7,12 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
-#include <set>
 
 #include "common/rng.h"
-#include "ecc/protected_memory.h"
 #include "mitigation/archshield.h"
 #include "mitigation/avatar.h"
 #include "mitigation/raidr.h"
-#include "mitigation/rapid.h"
-#include "mitigation/rowmap.h"
 #include "reaper/firmware.h"
 
 namespace reaper {
@@ -59,21 +54,10 @@ makeMechanism(const std::string &name)
         cfg.useBloomFilters = true;
         return std::make_unique<mitigation::Raidr>(cfg);
     }
-    if (name == "RowMapOut") {
-        mitigation::RowMapConfig cfg;
-        cfg.totalRows = kTotalRows;
-        cfg.maxMappedFraction = 0.5;
-        return std::make_unique<mitigation::RowMapOut>(cfg);
-    }
     if (name == "AVATAR") {
         mitigation::AvatarConfig cfg;
         cfg.totalRows = kTotalRows;
         return std::make_unique<mitigation::Avatar>(cfg);
-    }
-    if (name == "RAPID") {
-        mitigation::RapidConfig cfg;
-        cfg.totalRows = kTotalRows;
-        return std::make_unique<mitigation::Rapid>(cfg);
     }
     ADD_FAILURE() << "unknown mechanism " << name;
     return nullptr;
@@ -134,8 +118,7 @@ TEST_P(MechanismProperty, EmptyProfileCoversNothing)
 
 INSTANTIATE_TEST_SUITE_P(Mechanisms, MechanismProperty,
                          ::testing::Values("ArchShield", "RAIDR",
-                                           "RAIDR-bloom", "RowMapOut",
-                                           "AVATAR", "RAPID"),
+                                           "RAIDR-bloom", "AVATAR"),
                          [](const auto &info) {
                              std::string n = info.param;
                              for (auto &ch : n)
@@ -188,56 +171,6 @@ INSTANTIATE_TEST_SUITE_P(Targets, FirmwareTargetProperty,
                              return "t" + std::to_string(static_cast<int>(
                                         info.param * 1000)) + "ms";
                          });
-
-// ---------------------------------------------------------------
-// Protected-memory fuzz: random fault injection.
-// ---------------------------------------------------------------
-
-class ProtectedMemoryFuzz : public ::testing::TestWithParam<uint64_t>
-{
-};
-
-TEST_P(ProtectedMemoryFuzz, ScrubOutcomeMatchesFaultCollisions)
-{
-    // Whatever the random fault placement, the scrub must correct
-    // exactly the single-fault words and flag exactly the multi-fault
-    // words.
-    Rng rng(GetParam());
-    const uint64_t words = 400;
-    ecc::EccProtectedMemory mem(words * 64);
-    for (uint64_t w = 0; w < words; ++w)
-        mem.writeWord(w, rng());
-    std::map<uint64_t, std::set<uint64_t>> by_word;
-    for (int i = 0; i < 120; ++i) {
-        uint64_t bit = rng.uniformInt(words * 64);
-        mem.injectFailure(bit); // idempotent per bit
-        by_word[bit / 64].insert(bit);
-    }
-    uint64_t singles = 0, doubles = 0, triples_plus = 0;
-    for (const auto &[w, bits] : by_word) {
-        (void)w;
-        if (bits.size() == 1)
-            ++singles;
-        else if (bits.size() == 2)
-            ++doubles;
-        else
-            ++triples_plus;
-    }
-    auto report = mem.scrub();
-    // SECDED guarantees: singles corrected, doubles detected. Words
-    // with >= 3 faults are beyond the code's guarantee and may either
-    // be flagged or miscorrected (faithful ECC behaviour).
-    EXPECT_GE(report.corrected, singles);
-    EXPECT_LE(report.corrected, singles + triples_plus);
-    EXPECT_GE(report.uncorrectable, doubles);
-    EXPECT_LE(report.uncorrectable, doubles + triples_plus);
-    EXPECT_EQ(report.scanned, words);
-    EXPECT_EQ(report.corrected + report.uncorrectable + report.clean,
-              words);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ProtectedMemoryFuzz,
-                         ::testing::Values(11, 22, 33, 44));
 
 } // namespace
 } // namespace reaper

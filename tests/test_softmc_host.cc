@@ -144,15 +144,19 @@ TEST(SoftMcHost, TraceRecordsCommands)
     host.disableRefresh();
     host.wait(0.5);
     host.enableRefresh();
+    host.hammer({3, 5, 7}, 4096);
     host.readAndCompareAll();
-    ASSERT_EQ(host.trace().size(), 6u);
+    ASSERT_EQ(host.trace().size(), 7u);
     EXPECT_EQ(host.trace()[0].kind, CommandKind::SetAmbient);
     EXPECT_EQ(host.trace()[1].kind, CommandKind::WritePattern);
     EXPECT_EQ(host.trace()[2].kind, CommandKind::DisableRefresh);
     EXPECT_EQ(host.trace()[3].kind, CommandKind::Wait);
     EXPECT_DOUBLE_EQ(host.trace()[3].param, 0.5);
     EXPECT_EQ(host.trace()[4].kind, CommandKind::EnableRefresh);
-    EXPECT_EQ(host.trace()[5].kind, CommandKind::ReadCompare);
+    // One hammer command carrying the total activation count.
+    EXPECT_EQ(host.trace()[5].kind, CommandKind::Hammer);
+    EXPECT_DOUBLE_EQ(host.trace()[5].param, 3 * 4096.0);
+    EXPECT_EQ(host.trace()[6].kind, CommandKind::ReadCompare);
     host.clearTrace();
     EXPECT_TRUE(host.trace().empty());
 }
